@@ -3,21 +3,12 @@
 __version__ = "0.1.0"
 
 from .labels import IGNORE_LABEL, PixelRole, outlier_label
-from .scoring import (
-    class_posterior,
-    clamp_posterior,
-    hybrid_score,
-    log_sum_exp,
-    unnormalized_log_likelihood,
-)
+from .scoring import log_sum_exp, unnormalized_log_likelihood
 
 __all__ = [
     "IGNORE_LABEL",
     "PixelRole",
     "outlier_label",
-    "class_posterior",
-    "clamp_posterior",
-    "hybrid_score",
     "log_sum_exp",
     "unnormalized_log_likelihood",
 ]

@@ -197,8 +197,9 @@ def run_train(cfg: dict) -> None:
         params, history = train(params, make_batch, tcfg)
     except TrainingDiverged as exc:
         if exc.last_good_params is not None:
+            last_good_step = start_step + len(exc.history) * cfg["batches_per_epoch"]
             save_checkpoint(out / "checkpoint.last_good.dhck", exc.last_good_params,
-                            step=start_step)
+                            step=last_good_step)
         _write_history(out / "train_log.csv", exc.history)
         raise
 
@@ -246,8 +247,6 @@ def train_cmd(config_path, **overrides):
 
 def run_score(cfg: dict) -> None:
     params, _ = load_checkpoint(cfg["checkpoint"])
-    if params.config.num_classes != cfg["num_classes"]:
-        raise ConfigError("checkpoint num_classes differs from configuration")
     variants = [v.strip() for v in cfg["variants"].split(",") if v.strip()]
     unknown = set(variants) - set(SCORE_VARIANTS)
     if unknown:
@@ -269,7 +268,8 @@ def run_score(cfg: dict) -> None:
             write_score_raster(out / f"{stem}_{v}.dhsc", bundle.variant(v))
         write_pgm(out / f"{stem}_argmax.pgm", bundle.argmax.astype(np.uint8))
         if tau is not None:
-            fused = fuse_open_prediction(bundle.class_posterior, bundle.hybrid, tau)
+            fused = fuse_open_prediction(bundle.argmax, bundle.hybrid, tau,
+                                         params.config.num_classes)
             write_pgm(out / f"{stem}_open.pgm", fused.astype(np.uint8))
     cfgmod.write_sidecar(out, "score", cfg)
     click.echo(f"scored {len(rows)} {cfg['split']} images -> {out}")
@@ -281,7 +281,6 @@ def run_score(cfg: dict) -> None:
 @click.option("--data", default=None)
 @click.option("--out", default=None)
 @click.option("--split", default=None)
-@click.option("--num-classes", "num_classes", default=None)
 @click.option("--variants", default=None)
 @click.option("--tau", default=None)
 @_guarded
@@ -340,10 +339,7 @@ def run_eval(cfg: dict) -> None:
             lambda: fpr_at_tpr(pooled, truth, cfg["target_tpr"])[0]))
 
         if cfg["two_fold"]:
-            def one_hot(am):
-                return (np.arange(k)[:, None, None] == am[None]).astype(float)
-
-            images = [EvalImage(class_posterior=one_hot(am), scores=s, gt=gt)
+            images = [EvalImage(argmax=am, scores=s, gt=gt)
                       for am, s, gt in zip(argmaxes, score_maps[v], gts)]
             half = max(1, len(images) // 2)
             out_rows.append(_metric_row(

@@ -60,7 +60,6 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("data", "str", required=True),
         Key("out", "str", required=True),
         Key("split", "str", "test"),
-        Key("num_classes", "int", 3),
         Key("variants", "str", "hybrid,generative,discriminative"),
         Key("tau", "str", ""),  # empty = no fused open-set maps
     ),

@@ -8,7 +8,9 @@ anomalous":
 * ``hybrid``          their sum, the log-ratio the method thresholds
 
 Keeping one sign convention means the hybrid map equals the other two added
-together, which downstream tools can verify offline.
+together, which downstream tools can verify offline. This module is the one
+place the three scores are defined. The closed-set prediction is the argmax
+of the logits: the softmax is monotone, so it is never built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import ModelParams, forward
-from .scoring import class_posterior, clamp_posterior, unnormalized_log_likelihood
+from .scoring import unnormalized_log_likelihood
 
 SCORE_VARIANTS = ("hybrid", "generative", "discriminative")
 
@@ -27,8 +29,7 @@ SCORE_VARIANTS = ("hybrid", "generative", "discriminative")
 class ScoreBundle:
     """All maps derived from one image, spatial dims (H, W)."""
 
-    class_posterior: np.ndarray  # (K, H, W), softmax over classes
-    argmax: np.ndarray           # (H, W) int, closed-set prediction
+    argmax: np.ndarray  # (H, W) int, closed-set prediction
     hybrid: np.ndarray
     generative: np.ndarray
     discriminative: np.ndarray
@@ -43,13 +44,11 @@ def score_image(params: ModelParams, image: np.ndarray) -> ScoreBundle:
     """Score one (3, H, W) image (or (C, H, W) matching the model config)."""
     maps = forward(params, np.asarray(image)[None], training=False)
     logits = maps.logits.value[0]
-    din = clamp_posterior(maps.dataset_posterior.value[0, 0])
+    din = maps.dataset_posterior.value[0, 0]  # forward clamps it into (0, 1)
     log_like = unnormalized_log_likelihood(logits, axis=0)
     discriminative = np.log1p(-din)
-    posterior = class_posterior(logits, axis=0)
     return ScoreBundle(
-        class_posterior=posterior,
-        argmax=posterior.argmax(axis=0),
+        argmax=logits.argmax(axis=0),
         hybrid=discriminative - log_like,
         generative=-log_like,
         discriminative=discriminative,

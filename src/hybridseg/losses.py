@@ -4,8 +4,8 @@ Pixels carry one of three roles. Inlier pixels drive the standard per-pixel
 cross-entropy and a binary term pulling the dataset posterior toward 1.
 Outlier pixels drive the mirrored binary term and an energy term that pushes
 the per-pixel log-sum-exp of the logits down; its inlier counterpart (raise
-the true-class logit) is already subsumed by the cross-entropy, so the total
-deliberately excludes it. A modulation factor scales how hard the outlier
+the true-class logit) is already subsumed by the cross-entropy, so it has no
+term of its own. A modulation factor scales how hard the outlier
 terms weigh against the primary classification task.
 
 Every term is the mean over its own pixel set across the whole batch, and an
@@ -31,15 +31,12 @@ class LossBreakdown:
     """Scalar loss components of one batch, plus pixel counts per role.
 
     ``total = cls + posterior_in + beta * (posterior_out + likelihood_out)``.
-    ``likelihood_in_bound`` is reported for diagnostics but is not part of
-    the total.
     """
 
     cls: float
     posterior_in: float
     posterior_out: float
     likelihood_out: float
-    likelihood_in_bound: float
     total: float
     beta: float
     inlier_pixels: int
@@ -84,24 +81,12 @@ def classification_loss(logits, labels, roles) -> ad.Tensor:
     return ad.masked_mean(nll, np.broadcast_to(inlier4, nll.value.shape))
 
 
-def likelihood_bound_terms(logits, labels, roles) -> tuple[ad.Tensor, ad.Tensor]:
-    """Surrogate likelihood terms: (inlier bound term, outlier energy term).
-
-    The inlier term is -mean(true-class logit), an upper-bound surrogate for
-    -mean(log-sum-exp); the outlier term is +mean(log-sum-exp). Empty pixel
-    sets contribute 0.
-    """
+def outlier_energy_term(logits, roles) -> ad.Tensor:
+    """Mean log-sum-exp of the logits over outlier pixels (0 if there are none)."""
     logits = _as_tensor(logits)
-    inlier4, outlier4 = _role_masks(roles)
-    if inlier4.any():
-        safe = _safe_labels(labels, inlier4, logits.value.shape[1])
-        s_y = ad.take_channel(logits, safe)
-        in_term = -ad.masked_mean(s_y, np.broadcast_to(inlier4, s_y.value.shape))
-    else:
-        in_term = ad.constant(0.0)
+    _, outlier4 = _role_masks(roles)
     lse = ad.channel_log_sum_exp(logits)
-    out_term = ad.masked_mean(lse, np.broadcast_to(outlier4, lse.value.shape))
-    return in_term, out_term
+    return ad.masked_mean(lse, np.broadcast_to(outlier4, lse.value.shape))
 
 
 def posterior_loss_terms(dataset_posterior, roles) -> tuple[ad.Tensor, ad.Tensor]:
@@ -125,7 +110,7 @@ def compound_loss(logits, dataset_posterior, labels, roles,
         raise ContractViolation("beta must be >= 0")
     roles = np.asarray(roles)
     cls = classification_loss(logits, labels, roles)
-    lx_in, lx_out = likelihood_bound_terms(logits, labels, roles)
+    lx_out = outlier_energy_term(logits, roles)
     d_in, d_out = posterior_loss_terms(dataset_posterior, roles)
     total = cls + d_in + beta * (d_out + lx_out)
     breakdown = LossBreakdown(
@@ -133,7 +118,6 @@ def compound_loss(logits, dataset_posterior, labels, roles,
         posterior_in=d_in.item(),
         posterior_out=d_out.item(),
         likelihood_out=lx_out.item(),
-        likelihood_in_bound=lx_in.item(),
         total=total.item(),
         beta=beta,
         inlier_pixels=int((roles == PixelRole.INLIER).sum()),

@@ -105,20 +105,18 @@ def auroc(scores, truth) -> float:
 # Open-set label maps
 
 
-def fuse_open_prediction(class_posterior: np.ndarray, scores: np.ndarray,
-                         tau: float) -> np.ndarray:
-    """Per-pixel label: outlier where score >= tau, else posterior argmax.
+def fuse_open_prediction(argmax: np.ndarray, scores: np.ndarray, tau: float,
+                         num_classes: int) -> np.ndarray:
+    """Per-pixel label: outlier where score >= tau, else the closed-set argmax.
 
-    `class_posterior` is (K, H, W); ties in the argmax resolve to the lowest
-    class index. Returns an (H, W) int map with outliers encoded as K.
+    `argmax` is the (H, W) closed-set prediction. Returns an (H, W) int map
+    with outliers encoded as `num_classes`.
     """
-    class_posterior = np.asarray(class_posterior)
+    argmax = np.asarray(argmax)
     scores = np.asarray(scores)
-    if class_posterior.ndim != 3 or class_posterior.shape[1:] != scores.shape:
-        raise ContractViolation("posterior must be (K, H, W) matching scores")
-    k = class_posterior.shape[0]
-    pred = class_posterior.argmax(axis=0)
-    return np.where(scores >= tau, k, pred)
+    if argmax.shape != scores.shape or argmax.ndim != 2:
+        raise ContractViolation("argmax must be (H, W) matching scores")
+    return np.where(scores >= tau, num_classes, argmax)
 
 
 def open_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -195,30 +193,27 @@ def closed_miou(cm: np.ndarray) -> float:
 class ThresholdCalibration:
     tau: float
     achieved_tpr: float
-    fold: str
 
 
 @dataclass(frozen=True)
 class EvalImage:
     """Everything needed to score one image in the open-set protocol."""
 
-    class_posterior: np.ndarray  # (K, H, W)
-    scores: np.ndarray           # (H, W), higher = more anomalous
-    gt: np.ndarray               # (H, W) open labels (K = outlier)
+    argmax: np.ndarray  # (H, W) closed-set prediction
+    scores: np.ndarray  # (H, W), higher = more anomalous
+    gt: np.ndarray      # (H, W) open labels (K = outlier)
 
 
-def calibrate_threshold(scores, truth, target_tpr: float = 0.95,
-                        fold: str = "") -> ThresholdCalibration:
+def calibrate_threshold(scores, truth, target_tpr: float = 0.95) -> ThresholdCalibration:
     """Largest tau with TPR >= target on the given pixels."""
     scores, truth = _validated(scores, truth)
     if not truth.any():
         raise DegenerateScoreSet("calibration needs anomalous pixels")
     if target_tpr <= 0.0:
-        return ThresholdCalibration(tau=float("inf"), achieved_tpr=0.0, fold=fold)
+        return ThresholdCalibration(tau=float("inf"), achieved_tpr=0.0)
     taus, cum_tp, _, npos, _ = _threshold_groups(scores, truth)
     k = int(np.nonzero(cum_tp / npos >= target_tpr)[0][0])
-    return ThresholdCalibration(tau=float(taus[k]),
-                                achieved_tpr=float(cum_tp[k] / npos), fold=fold)
+    return ThresholdCalibration(tau=float(taus[k]), achieved_tpr=float(cum_tp[k] / npos))
 
 
 def _fold_pixels(fold: list[EvalImage], num_classes: int):
@@ -233,7 +228,7 @@ def _fold_pixels(fold: list[EvalImage], num_classes: int):
 def _fold_open_miou(fold: list[EvalImage], num_classes: int, tau: float) -> float:
     cm = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     for img in fold:
-        pred = fuse_open_prediction(img.class_posterior, img.scores, tau)
+        pred = fuse_open_prediction(img.argmax, img.scores, tau, num_classes)
         cm += open_confusion(pred, img.gt, num_classes)
     return open_miou(cm)[1]
 
@@ -248,10 +243,8 @@ def two_fold_open_eval(fold_a: list[EvalImage], fold_b: list[EvalImage],
     """
     if not fold_a or not fold_b:
         raise ContractViolation("both folds need at least one image")
-    tau_a = calibrate_threshold(*_fold_pixels(fold_a, num_classes),
-                                target_tpr=target_tpr, fold="A").tau
-    tau_b = calibrate_threshold(*_fold_pixels(fold_b, num_classes),
-                                target_tpr=target_tpr, fold="B").tau
+    tau_a = calibrate_threshold(*_fold_pixels(fold_a, num_classes), target_tpr).tau
+    tau_b = calibrate_threshold(*_fold_pixels(fold_b, num_classes), target_tpr).tau
     score_a = _fold_open_miou(fold_a, num_classes, tau_b)
     score_b = _fold_open_miou(fold_b, num_classes, tau_a)
     n_a, n_b = len(fold_a), len(fold_b)

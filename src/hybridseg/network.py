@@ -120,18 +120,6 @@ class ModelParams:
                 ("ood.w", self.ood_w), ("ood.b", self.ood_b)]
         return out
 
-    def feature_tensors(self) -> list[ad.Tensor]:
-        """Backbone parameters only (the shared representation)."""
-        out = []
-        for st in self.stages:
-            out += [st.w, st.b, st.gamma, st.beta]
-        return out
-
-    def gradients(self) -> list[tuple[str, np.ndarray]]:
-        """Gradient per trainable parameter; zeros where the loss did not reach."""
-        return [(name, t.grad if t.grad is not None else np.zeros_like(t.value))
-                for name, t in self.trainable()]
-
     def zero_grad(self) -> None:
         for _, t in self.trainable():
             t.grad = None
@@ -177,7 +165,6 @@ def init_params(config: NetworkConfig) -> ModelParams:
 @dataclass
 class ForwardMaps:
     """Outputs of one forward pass, all at input spatial resolution."""
-    pre_logits: ad.Tensor       # (N, F, H, W)
     logits: ad.Tensor           # (N, K, H, W)
     dataset_posterior: ad.Tensor  # (N, 1, H, W), clamped into (0, 1)
 
@@ -207,7 +194,7 @@ def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
                     ("dataset posterior", din.value)):
         if not np.all(np.isfinite(v)):
             raise NumericFailure(f"non-finite {name} in forward pass")
-    return ForwardMaps(pre_logits=t, logits=logits, dataset_posterior=din)
+    return ForwardMaps(logits=logits, dataset_posterior=din)
 
 
 def save_checkpoint(path, params: ModelParams, step: int = 0) -> None:
@@ -222,21 +209,30 @@ def save_checkpoint(path, params: ModelParams, step: int = 0) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(f, size: int, path, what: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise DataFormatError(f"{path}: truncated checkpoint at {what}")
+    return raw
+
+
 def load_checkpoint(path) -> tuple[ModelParams, int]:
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad checkpoint magic")
-        version, = struct.unpack("<I", f.read(4))
+        version, = struct.unpack("<I", _read_exact(f, 4, path, "version"))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        step, = struct.unpack("<Q", f.read(8))
-        cfg_len, = struct.unpack("<I", f.read(4))
-        config = NetworkConfig.from_json(f.read(cfg_len).decode("utf-8"))
+        step, = struct.unpack("<Q", _read_exact(f, 8, path, "step"))
+        cfg_len, = struct.unpack("<I", _read_exact(f, 4, path, "config length"))
+        cfg_blob = _read_exact(f, cfg_len, path, "config")
+        try:
+            config = NetworkConfig.from_json(cfg_blob.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: malformed checkpoint config: {exc!r}") from exc
         params = init_params(config)
         for name, arr in params.named_arrays():
-            raw = f.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
-                raise DataFormatError(f"{path}: truncated checkpoint at {name}")
+            raw = _read_exact(f, arr.size * 8, path, name)
             arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         if f.read(1):
             raise DataFormatError(f"{path}: trailing bytes after parameters")

@@ -101,6 +101,8 @@ def read_score_raster(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != SCORE_MAGIC:
         raise DataFormatError(f"{path}: bad score-raster magic")
+    if len(data) < 16:
+        raise DataFormatError(f"{path}: truncated score-raster header")
     version, h, w = struct.unpack("<III", data[4:16])
     if version != SCORE_VERSION:
         raise DataFormatError(f"{path}: unsupported score-raster version {version}")

@@ -2,14 +2,11 @@
 
 A dense classifier's raw logits double as an unnormalized joint log-density:
 the per-pixel log-sum-exp of the logits is an unnormalized data
-log-likelihood, the softmax is the class posterior, and an auxiliary sigmoid
-head estimates the probability that a pixel came from the inlier dataset.
-The anomaly score is the log-ratio between the outlier posterior and the
-unnormalized likelihood; the (intractable) normalizer only shifts the score
-by a constant, so rankings are unaffected and it is never computed.
+log-likelihood. The (intractable) normalizer only shifts it by a constant,
+so rankings are unaffected and it is never computed. The score definitions
+built on it live in ``inference``.
 
-All kernels are pure functions over float64 arrays. Higher score means more
-anomalous throughout the package.
+All kernels are pure functions over float64 arrays.
 """
 
 from __future__ import annotations
@@ -37,35 +34,6 @@ def log_sum_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def class_posterior(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over the class axis. Rows sum to 1; adding a per-pixel constant
-    to all logits leaves the result unchanged."""
-    v = np.asarray(logits, dtype=np.float64)
-    m = np.max(v, axis=axis, keepdims=True)
-    e = np.exp(v - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def unnormalized_log_likelihood(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per-pixel unnormalized data log-likelihood: log-sum-exp of the logits."""
     return log_sum_exp(logits, axis=axis)
-
-
-def clamp_posterior(p: np.ndarray, eps: float = POSTERIOR_EPS) -> np.ndarray:
-    """Clip probabilities into [eps, 1 - eps]."""
-    return np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
-
-
-def hybrid_score(dataset_posterior: np.ndarray, log_likelihood: np.ndarray) -> np.ndarray:
-    """Anomaly score ln(1 - P(inlier|x)) - ln p_hat(x), elementwise.
-
-    Strictly increasing in the outlier posterior and strictly decreasing in
-    the unnormalized likelihood. Inputs must have identical shapes.
-    """
-    din = np.asarray(dataset_posterior, dtype=np.float64)
-    ll = np.asarray(log_likelihood, dtype=np.float64)
-    if din.shape != ll.shape:
-        raise ContractViolation(
-            f"shape mismatch: posterior {din.shape} vs log-likelihood {ll.shape}"
-        )
-    return np.log1p(-clamp_posterior(din)) - ll

@@ -45,21 +45,19 @@ def _epoch_mean(parts: list[LossBreakdown], beta: float) -> LossBreakdown:
     return LossBreakdown(
         cls=mean("cls"), posterior_in=mean("posterior_in"),
         posterior_out=mean("posterior_out"), likelihood_out=mean("likelihood_out"),
-        likelihood_in_bound=mean("likelihood_in_bound"), total=mean("total"),
-        beta=beta,
+        total=mean("total"), beta=beta,
         inlier_pixels=sum(p.inlier_pixels for p in parts),
         outlier_pixels=sum(p.outlier_pixels for p in parts),
         ignore_pixels=sum(p.ignore_pixels for p in parts),
     )
 
 
-def train(params: ModelParams, make_batch, cfg: TrainConfig,
-          on_epoch=None) -> tuple[ModelParams, list[LossBreakdown]]:
+def train(params: ModelParams, make_batch,
+          cfg: TrainConfig) -> tuple[ModelParams, list[LossBreakdown]]:
     """Fit `params` in place; returns (params, per-epoch mean loss breakdown).
 
     ``make_batch(rng)`` must yield ``(images, labels, roles)`` arrays for one
     minibatch; it is called with a fresh deterministic rng per batch.
-    ``on_epoch(epoch, breakdown)`` is an optional progress hook.
     """
     opt = Adam([tensor for _, tensor in params.trainable()], cfg.schedule)
     opt.step_count = cfg.start_step
@@ -90,6 +88,4 @@ def train(params: ModelParams, make_batch, cfg: TrainConfig,
         last_good = params.copy()
         log.info("epoch %d/%d total=%.5f cls=%.5f", epoch + 1, cfg.epochs,
                  summary.total, summary.cls)
-        if on_epoch is not None:
-            on_epoch(epoch, summary)
     return params, history

@@ -208,9 +208,8 @@ def test_ac04_oracle_detector_identity(report):
     closed_cm = np.zeros((3, 3), dtype=np.int64)
     for scene in scenes:
         pred = rng.integers(0, 3, size=scene.labels.shape)
-        one_hot = (np.arange(3)[:, None, None] == pred[None]).astype(float)
         oracle_scores = (scene.labels == 3).astype(float)
-        fused = fuse_open_prediction(one_hot, oracle_scores, tau=0.5)
+        fused = fuse_open_prediction(pred, oracle_scores, tau=0.5, num_classes=3)
         open_cm += open_confusion(fused, scene.labels, 3)
         closed_cm += closed_confusion(pred, scene.labels, 3)
     open_pc, open_mean = open_miou(open_cm)
@@ -371,9 +370,7 @@ def test_ac08_monotone_transform_invariance(report):
 
 
 def _protocol_image(gt, scores, preds):
-    posterior = np.where((np.arange(2)[:, None, None]
-                          == np.asarray(preds)[None, None, :]), 0.9, 0.1)
-    return EvalImage(class_posterior=posterior,
+    return EvalImage(argmax=np.asarray(preds)[None, :],
                      scores=np.asarray(scores, dtype=float)[None, :],
                      gt=np.asarray(gt)[None, :])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hybridseg import cli
 from hybridseg.cli import main
 from hybridseg.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from hybridseg.rasters import read_manifest, read_pgm, read_score_raster
@@ -113,6 +114,29 @@ class TestTrain:
                                                     "--num-classes", "4"]])
         assert result.exit_code == 2
 
+    def test_divergence_saves_the_last_good_epoch_step(self, workspace, tmp_path,
+                                                       monkeypatch):
+        calls = {"n": 0}
+        clean = cli.mixed_batch
+
+        def poisoned(*args, **kwargs):
+            calls["n"] += 1
+            images, labels, roles = clean(*args, **kwargs)
+            if calls["n"] > 2:  # the first epoch (2 batches) stays finite
+                images = images.copy()
+                images[0, 0, 0, 0] = math.nan
+            return images, labels, roles
+
+        monkeypatch.setattr(cli, "mixed_batch", poisoned)
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path, "--epochs", "3"]])
+        assert result.exit_code == 4, result.output
+        _, step = load_checkpoint(tmp_path / "checkpoint.last_good.dhck")
+        assert step == 2  # one finished epoch of 2 batches
+        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 2
+        assert not (tmp_path / "checkpoint.dhck").exists()
+
     def test_zero_beta_logs_zero_outlier_terms(self, workspace, tmp_path):
         run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path,
                              "--beta", "0"])
@@ -145,12 +169,18 @@ class TestScore:
             assert argmax.max() < 3
 
     def test_exported_hybrid_is_the_sum_of_the_parts(self, workspace):
+        # exact in memory; the float32 rasters hold it to within one ulp
         scores = workspace["run"] / "scores"
-        stem = "test_0000"
-        hybrid = read_score_raster(scores / f"{stem}_hybrid.dhsc").astype(np.float64)
-        parts = (read_score_raster(scores / f"{stem}_generative.dhsc").astype(np.float64)
-                 + read_score_raster(scores / f"{stem}_discriminative.dhsc").astype(np.float64))
-        assert np.abs(hybrid - parts).max() <= 1e-5
+        stems = [r.image[:-4] for r in read_manifest(workspace["manifest"])
+                 if r.split == "test"]
+        assert stems
+        for stem in stems:
+            h, g, d = (read_score_raster(scores / f"{stem}_{v}.dhsc")
+                       for v in ("hybrid", "generative", "discriminative"))
+            parts = g + d
+            assert parts.dtype == np.float32
+            ulp = np.spacing(np.maximum(np.abs(h), np.abs(parts)))
+            assert np.all(np.abs(h - parts) <= ulp)
 
     def test_tau_exports_fused_open_maps(self, workspace, tmp_path):
         run_ok(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
@@ -170,6 +200,15 @@ class TestScore:
                                       "--data", str(workspace["manifest"]),
                                       "--out", str(tmp_path)])
         assert result.exit_code == 3
+
+    def test_malformed_checkpoint_is_a_data_error(self, workspace, tmp_path):
+        bad = tmp_path / "short.dhck"
+        bad.write_bytes((workspace["run"] / "checkpoint.dhck").read_bytes()[:6])
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "data error" in result.output
 
     def test_non_finite_checkpoint_is_a_numeric_failure(self, workspace, tmp_path):
         params = init_params(NetworkConfig(input_channels=3, widths=(6, 8), num_classes=3))

@@ -11,7 +11,7 @@ from hybridseg.labels import IGNORE_LABEL, PixelRole
 from hybridseg.losses import (
     classification_loss,
     compound_loss,
-    likelihood_bound_terms,
+    outlier_energy_term,
     posterior_loss_terms,
 )
 
@@ -82,37 +82,28 @@ class TestClassification:
 class TestLikelihoodTerms:
     def test_values(self):
         logits = np.zeros((1, 3, 1, 2))
-        logits[0, :, 0, 0] = [1.0, 2.0, 3.0]
+        logits[0, :, 0, 0] = [5.0, 6.0, 7.0]  # inlier pixel, left out
         logits[0, :, 0, 1] = [1.0, 2.0, 3.0]
-        labels = np.array([[[2, IGNORE_LABEL]]])
         roles = np.array([[[0, 1]]])
-        in_term, out_term = likelihood_bound_terms(ad.constant(logits), labels, roles)
-        assert in_term.item() == pytest.approx(-3.0, abs=1e-12)
+        out_term = outlier_energy_term(ad.constant(logits), roles)
         assert out_term.item() == pytest.approx(3.4076059644443802, abs=1e-12)
 
     @pytest.mark.parametrize("vec", [[1.0, 2.0, 3.0], [0.0, 0.0], [-4.0, 7.5, 0.1, 2.0]])
     def test_energy_bounds_true_logit(self, vec):
-        # log-sum-exp >= max >= any single coordinate, so for matched pixel
-        # content the outlier energy never sits below -(inlier bound term)
+        # log-sum-exp >= max >= any single coordinate, so the outlier energy
+        # never sits below the true-class logit of the same pixel content
         logits = np.asarray(vec).reshape(1, -1, 1, 1)
-        both = np.concatenate([logits, logits], axis=3)
-        labels = np.array([[[len(vec) - 1, IGNORE_LABEL]]])
-        roles = np.array([[[0, 1]]])
-        in_term, out_term = likelihood_bound_terms(ad.constant(both), labels, roles)
-        assert out_term.item() >= -in_term.item()
+        out_term = outlier_energy_term(ad.constant(logits), np.array([[[1]]]))
         assert out_term.item() >= max(vec)
 
     def test_empty_sets_are_zero(self):
         logits = one_pixel([1.0, 2.0])
-        in_term, out_term = likelihood_bound_terms(
-            logits, np.array([[[255]]]), np.array([[[2]]]))
-        assert in_term.item() == 0.0
-        assert out_term.item() == 0.0
+        for role in (0, 2):  # inlier or ignore: no outlier pixels
+            assert outlier_energy_term(logits, np.array([[[role]]])).item() == 0.0
 
     def test_outlier_gradient_pushes_energy_down(self):
         logits = ad.parameter(np.array([0.5, 1.5]).reshape(1, 2, 1, 1))
-        _, out_term = likelihood_bound_terms(
-            logits, np.array([[[IGNORE_LABEL]]]), np.array([[[1]]]))
+        out_term = outlier_energy_term(logits, np.array([[[1]]]))
         out_term.backward()
         assert (logits.grad > 0).all()  # descent lowers every logit
 
@@ -149,7 +140,6 @@ class TestCompound:
         assert parts.posterior_in == pytest.approx(LN2, abs=1e-9)
         assert parts.posterior_out == pytest.approx(LN2, abs=1e-9)
         assert parts.likelihood_out == pytest.approx(LN3, abs=1e-9)
-        assert parts.likelihood_in_bound == pytest.approx(-3.0, abs=1e-9)
         want = 0.4076059644443802 + LN2 + 0.03 * (LN2 + LN3)
         assert total.item() == pytest.approx(want, abs=1e-9)
         assert total.item() == pytest.approx(1.1545061, abs=1e-6)

@@ -160,32 +160,30 @@ class TestMonotoneInvariance:
 
 
 class TestFuseOpenPrediction:
-    POSTERIOR = np.array([[[0.6, 0.2]], [[0.4, 0.8]]])  # (K=2, 1, 2)
+    ARGMAX = np.array([[0, 1]])  # (1, 2) closed-set prediction, K=2
     SCORES = np.array([[0.1, 0.9]])
 
     def test_infinite_tau_is_pure_argmax(self):
         np.testing.assert_array_equal(
-            fuse_open_prediction(self.POSTERIOR, self.SCORES, math.inf), [[0, 1]])
+            fuse_open_prediction(self.ARGMAX, self.SCORES, math.inf, 2), [[0, 1]])
 
     def test_negative_infinite_tau_is_all_outlier(self):
         np.testing.assert_array_equal(
-            fuse_open_prediction(self.POSTERIOR, self.SCORES, -math.inf), [[2, 2]])
+            fuse_open_prediction(self.ARGMAX, self.SCORES, -math.inf, 2), [[2, 2]])
 
     def test_mixed_fixture(self):
         np.testing.assert_array_equal(
-            fuse_open_prediction(self.POSTERIOR, self.SCORES, 0.5), [[0, 2]])
+            fuse_open_prediction(self.ARGMAX, self.SCORES, 0.5, 2), [[0, 2]])
 
     def test_threshold_is_inclusive(self):
         np.testing.assert_array_equal(
-            fuse_open_prediction(self.POSTERIOR, self.SCORES, 0.9), [[0, 2]])
-
-    def test_argmax_tie_takes_lowest_class(self):
-        posterior = np.full((3, 1, 1), 1.0 / 3.0)
-        assert fuse_open_prediction(posterior, np.zeros((1, 1)), math.inf)[0, 0] == 0
+            fuse_open_prediction(self.ARGMAX, self.SCORES, 0.9, 2), [[0, 2]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            fuse_open_prediction(self.POSTERIOR, np.zeros((2, 2)), 0.0)
+            fuse_open_prediction(self.ARGMAX, np.zeros((2, 2)), 0.0, 2)
+        with pytest.raises(ContractViolation):  # a (K, H, W) posterior is not a prediction
+            fuse_open_prediction(np.zeros((2, 1, 2)), self.SCORES, 0.0, 2)
 
 
 class TestOpenConfusion:
@@ -332,9 +330,9 @@ class TestOpenVsClosedBound:
 def _eval_image(rng, k=2, h=4, w=5, anomaly_frac=0.3):
     gt = rng.integers(0, k, size=(h, w))
     gt[rng.uniform(size=(h, w)) < anomaly_frac] = k
-    posterior = rng.dirichlet(np.ones(k), size=(h, w)).transpose(2, 0, 1)
+    argmax = rng.integers(0, k, size=(h, w))
     scores = rng.normal(size=(h, w)) + 2.0 * (gt == k)
-    return EvalImage(class_posterior=posterior, scores=scores, gt=gt)
+    return EvalImage(argmax=argmax, scores=scores, gt=gt)
 
 
 class TestCalibrateThreshold:
@@ -343,9 +341,8 @@ class TestCalibrateThreshold:
         scores = rng.normal(size=200)
         truth = rng.uniform(size=200) < 0.3
         truth[0] = True
-        cal = calibrate_threshold(scores, truth, target_tpr=0.95, fold="A")
+        cal = calibrate_threshold(scores, truth, target_tpr=0.95)
         assert cal.achieved_tpr >= 0.95
-        assert cal.fold == "A"
         assert cal.tau in scores[truth]  # inclusive threshold sits on a positive
 
     def test_zero_target(self):
@@ -381,7 +378,7 @@ class TestTwoFoldOpenEval:
         img = _eval_image(rng)
         gt = img.gt.copy()
         gt[0, :] = IGNORE_LABEL
-        masked = EvalImage(img.class_posterior, img.scores, gt)
+        masked = EvalImage(img.argmax, img.scores, gt)
         scores, truth = _fold_pixels([masked], 2)
         assert scores.size == gt.size - gt.shape[1]
         assert truth.sum() == np.count_nonzero(gt == 2)

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
 from hybridseg.network import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ForwardMaps,
     NetworkConfig,
     forward,
@@ -42,7 +46,6 @@ class TestForward:
     def test_spatial_resolution_preserved(self, hw):
         params = init_params(CFG)
         maps = forward(params, rand_image((1, 3) + hw, seed=3))
-        assert maps.pre_logits.value.shape == (1, CFG.widths[-1]) + hw
         assert maps.logits.value.shape == (1, CFG.num_classes) + hw
         assert maps.dataset_posterior.value.shape == (1, 1) + hw
 
@@ -52,7 +55,7 @@ class TestForward:
         img = rand_image((1, 3, 5, 5), seed=4)
         batch = np.concatenate([img, img], axis=0)
         maps = forward(params, batch, training=training)
-        for m in (maps.pre_logits, maps.logits, maps.dataset_posterior):
+        for m in (maps.logits, maps.dataset_posterior):
             np.testing.assert_array_equal(m.value[0], m.value[1])
 
     def test_posterior_head_independent_of_classifier(self):
@@ -140,5 +143,28 @@ class TestCheckpoint:
         p = tmp_path / "t.dhck"
         save_checkpoint(p, init_params(CFG), step=0)
         p.write_bytes(p.read_bytes()[:-9])
+        with pytest.raises(DataFormatError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("size", [6, 10, 18, 30])
+    def test_header_truncation_rejected(self, tmp_path, size):
+        # inside the version, the step, the config length and the config
+        p = tmp_path / "t.dhck"
+        save_checkpoint(p, init_params(CFG), step=0)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(DataFormatError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("blob", [
+        b"{not json",
+        b"\xff\xfe{}",
+        b'{"input_channels": 3, "widths": [8]}',
+        b"[3, 8]",
+        CFG.to_json().replace('"num_classes":4', '"num_classes":1').encode(),
+    ], ids=["not-json", "not-utf8", "missing-keys", "not-an-object", "invalid-config"])
+    def test_malformed_config_block_rejected(self, tmp_path, blob):
+        p = tmp_path / "c.dhck"
+        p.write_bytes(CHECKPOINT_MAGIC
+                      + struct.pack("<IQI", CHECKPOINT_VERSION, 0, len(blob)) + blob)
         with pytest.raises(DataFormatError):
             load_checkpoint(p)

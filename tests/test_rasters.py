@@ -99,6 +99,8 @@ class TestScoreRaster:
         lambda b: b[:4] + b"\x02" + b[5:],    # version
         lambda b: b[:-1],                     # truncated
         lambda b: b + b"\x00",                # trailing
+        lambda b: b[:9],                      # header cut inside the dimensions
+        lambda b: b[:4],                      # magic only
     ])
     def test_rejects_malformed(self, tmp_path, mutate):
         p = tmp_path / "a.dhsc"

@@ -7,20 +7,32 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hybridseg.errors import ContractViolation
-from hybridseg.scoring import (
-    POSTERIOR_EPS,
-    clamp_posterior,
-    class_posterior,
-    hybrid_score,
-    log_sum_exp,
-    unnormalized_log_likelihood,
-)
+from hybridseg.inference import score_image
+from hybridseg.network import NetworkConfig, forward, init_params
+from hybridseg.scoring import POSTERIOR_EPS, log_sum_exp, unnormalized_log_likelihood
 
 finite_vectors = hnp.arrays(
     np.float64,
     st.integers(min_value=1, max_value=10),
     elements=st.floats(min_value=-50, max_value=50),
 )
+
+
+def hand_set_model(cls_b, cls_w=0.0, ood_w=0.0, ood_b=0.0):
+    """A one-channel model whose scores are set by hand.
+
+    The single 1x1 stage passes a non-negative image through (up to the
+    eval-mode batch-norm factor), so pixel value x gives logits
+    ``cls_w * x + cls_b`` and a dataset posterior ``sigmoid(ood_w * x + ood_b)``.
+    """
+    params = init_params(NetworkConfig(input_channels=1, widths=(1,),
+                                       num_classes=len(cls_b), kernel_size=1))
+    params.stages[0].w.value[...] = 1.0
+    params.cls_w.value[:, 0, 0, 0] = cls_w
+    params.cls_b.value[...] = cls_b
+    params.ood_w.value[...] = ood_w
+    params.ood_b.value[...] = ood_b
+    return params
 
 
 def high_precision_lse(values):
@@ -65,36 +77,6 @@ class TestLogSumExp:
         assert (lse >= v - 1e-12).all()
 
 
-class TestClassPosterior:
-    def test_symmetric_pair(self):
-        np.testing.assert_allclose(class_posterior(np.array([0.0, 0.0])), [0.5, 0.5])
-
-    @pytest.mark.parametrize("c", [-7.0, 0.0, 3.5, 1000.0])
-    def test_constant_logits_give_uniform(self, c):
-        np.testing.assert_allclose(class_posterior(np.full(3, c)), np.full(3, 1 / 3),
-                                   atol=1e-15)
-
-    def test_three_logits_against_direct_softmax(self):
-        v = np.array([1.0, 2.0, 3.0])
-        e = np.array([math.exp(x) for x in v])
-        np.testing.assert_allclose(class_posterior(v), e / e.sum(), atol=1e-12)
-        np.testing.assert_allclose(class_posterior(v),
-                                   [0.090031, 0.244728, 0.665241], atol=1e-6)
-
-    @given(finite_vectors)
-    def test_rows_sum_to_one_and_argmax_preserved(self, v):
-        p = class_posterior(v)
-        assert p.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (p >= 0).all()
-        # softmax is monotone, so the max-logit coordinate attains the max
-        # posterior (gaps below float resolution may tie)
-        assert p[v.argmax()] == p.max()
-
-    @given(finite_vectors, st.floats(min_value=-50, max_value=50))
-    def test_shift_invariance(self, v, c):
-        np.testing.assert_allclose(class_posterior(v + c), class_posterior(v), atol=1e-12)
-
-
 class TestUnnormalizedLogLikelihood:
     def test_matches_lse_per_pixel(self):
         logits = np.random.default_rng(0).normal(size=(4, 5, 3))
@@ -118,47 +100,53 @@ class TestUnnormalizedLogLikelihood:
 
 
 class TestHybridScore:
+    """The hybrid score as ``score_image`` defines it, on hand-set heads."""
+
+    RNG = np.random.default_rng(2)
+    IMAGE = RNG.uniform(0.0, 2.0, size=(1, 6, 6))
+    CLS_W = RNG.normal(size=4)
+    CLS_B = RNG.normal(size=4)
+
     def test_reference_pixel(self):
-        din = np.array([[0.5]])
-        log_px = unnormalized_log_likelihood(np.array([[[0.0, 0.0]]]))
-        score = hybrid_score(din, log_px)
-        assert score[0, 0] == pytest.approx(math.log(0.5) - math.log(2), abs=1e-12)
-        assert score[0, 0] == pytest.approx(-1.386294, abs=1e-6)
+        # logits (0, 0) and dataset posterior 1/2
+        bundle = score_image(hand_set_model([0.0, 0.0]), np.ones((1, 1, 1)))
+        assert bundle.hybrid[0, 0] == pytest.approx(math.log(0.5) - math.log(2), abs=1e-12)
+        assert bundle.hybrid[0, 0] == pytest.approx(-1.386294, abs=1e-6)
 
     def test_monotone_decreasing_in_inlier_posterior(self):
-        din = np.linspace(0.01, 0.99, 25)
-        scores = hybrid_score(din, np.zeros(25))
-        assert (np.diff(scores) < 0).all()
+        # flat logits, dataset posterior rising with the pixel value
+        image = np.linspace(0.01, 3.0, 25).reshape(1, 1, 25)
+        bundle = score_image(hand_set_model([0.0, 0.0], ood_w=2.0, ood_b=-3.0), image)
+        assert (np.diff(bundle.hybrid[0]) < 0).all()
+        np.testing.assert_array_equal(bundle.generative, bundle.generative[0, 0])
 
     def test_logit_shift_lowers_score_by_constant(self):
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(6, 6, 4))
-        din = rng.uniform(0.1, 0.9, size=(6, 6))
-        base = hybrid_score(din, unnormalized_log_likelihood(logits))
-        shifted = hybrid_score(din, unnormalized_log_likelihood(logits + 3.0))
-        np.testing.assert_allclose(shifted, base - 3.0, atol=1e-12)
+        base = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_w=1.0), self.IMAGE)
+        shifted = score_image(hand_set_model(self.CLS_B + 3.0, self.CLS_W, ood_w=1.0),
+                              self.IMAGE)
+        np.testing.assert_allclose(shifted.generative, base.generative - 3.0, atol=1e-12)
+        np.testing.assert_allclose(shifted.hybrid, base.hybrid - 3.0, atol=1e-12)
+        np.testing.assert_array_equal(shifted.discriminative, base.discriminative)
 
     def test_global_likelihood_shift_preserves_orderings(self):
-        rng = np.random.default_rng(3)
-        din = rng.uniform(0.05, 0.95, size=50)
-        log_px = rng.normal(size=50)
-        a = hybrid_score(din, log_px)
-        b = hybrid_score(din, log_px + 11.0)
-        np.testing.assert_allclose(b, a - 11.0, atol=1e-12)
-        assert (np.argsort(a) == np.argsort(b)).all()
+        a = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_w=1.0), self.IMAGE)
+        b = score_image(hand_set_model(self.CLS_B + 11.0, self.CLS_W, ood_w=1.0), self.IMAGE)
+        for name in ("hybrid", "generative"):
+            assert (np.argsort(a.variant(name), axis=None)
+                    == np.argsort(b.variant(name), axis=None)).all()
+        np.testing.assert_array_equal(a.argmax, b.argmax)
 
     def test_finite_at_clamped_extremes(self):
-        din = np.array([0.0, 1.0, 0.5])
-        score = hybrid_score(din, np.zeros(3))
-        assert np.isfinite(score).all()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            hybrid_score(np.zeros((2, 2)), np.zeros((3, 2)))
+        for ood_b in (-1e3, 1e3):
+            bundle = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_b=ood_b),
+                                 self.IMAGE)
+            for name in ("hybrid", "generative", "discriminative"):
+                assert np.isfinite(bundle.variant(name)).all()
 
 
 def test_clamp_posterior_bounds():
-    p = clamp_posterior(np.array([0.0, 0.5, 1.0]))
-    assert p[0] == POSTERIOR_EPS
-    assert p[1] == 0.5
-    assert p[2] == 1.0 - POSTERIOR_EPS
+    # forward clamps the dataset posterior into [eps, 1 - eps]
+    image = np.ones((1, 1, 1, 1))
+    for ood_b, expect in ((-1e3, POSTERIOR_EPS), (0.0, 0.5), (1e3, 1.0 - POSTERIOR_EPS)):
+        maps = forward(hand_set_model([0.0, 0.0], ood_b=ood_b), image)
+        assert maps.dataset_posterior.value[0, 0, 0, 0] == expect

@@ -13,7 +13,7 @@ from hybridseg.data import (
 from hybridseg.errors import ContractViolation, TrainingDiverged
 from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.labels import PixelRole
-from hybridseg.network import NetworkConfig, init_params
+from hybridseg.network import NetworkConfig, forward, init_params
 from hybridseg.optim import LrSchedule
 from hybridseg.train import TrainConfig, train
 
@@ -74,15 +74,6 @@ class TestTrainLoop:
             _, history = train(params, scene_batcher(), cfg)
             totals.append(history[0].total)
         assert totals[0] != totals[1]
-
-    def test_on_epoch_hook_sees_every_epoch(self):
-        params = init_params(NET)
-        seen = []
-        cfg = TrainConfig(epochs=3, batches_per_epoch=2)
-        _, history = train(params, scene_batcher(), cfg,
-                           on_epoch=lambda e, s: seen.append((e, s.total)))
-        assert [e for e, _ in seen] == [0, 1, 2]
-        assert [t for _, t in seen] == [h.total for h in history]
 
     def test_zero_beta_treats_outliers_like_ignore(self):
         # with beta = 0 the outlier terms carry zero weight, so relabeling
@@ -161,7 +152,6 @@ class TestScoreImage:
 
     def test_shapes_and_variant_accessor(self):
         bundle = score_image(init_params(NET), self.IMAGE)
-        assert bundle.class_posterior.shape == (3, 8, 9)
         assert bundle.argmax.shape == (8, 9)
         for name in SCORE_VARIANTS:
             assert bundle.variant(name).shape == (8, 9)
@@ -178,12 +168,22 @@ class TestScoreImage:
         bundle = score_image(init_params(NET), self.IMAGE)
         np.testing.assert_allclose(bundle.generative, -math.log(3), atol=1e-12)
         np.testing.assert_allclose(bundle.discriminative, math.log(0.5), atol=1e-12)
-        np.testing.assert_allclose(bundle.class_posterior, 1.0 / 3.0, atol=1e-12)
 
     def test_argmax_matches_posterior(self):
         params = init_params(NET)
         train(params, scene_batcher(), TrainConfig(epochs=1, batches_per_epoch=3))
         bundle = score_image(params, self.IMAGE)
-        np.testing.assert_array_equal(bundle.argmax,
-                                      bundle.class_posterior.argmax(axis=0))
+        logits = forward(params, self.IMAGE[None]).logits.value[0]
+        np.testing.assert_array_equal(bundle.argmax, logits.argmax(axis=0))
+        # the softmax is monotone, so the class posterior has the same argmax
+        e = np.exp(logits - logits.max(axis=0))
+        np.testing.assert_array_equal(bundle.argmax, (e / e.sum(axis=0)).argmax(axis=0))
         assert np.all(bundle.discriminative < 0.0)  # log of a probability
+
+    def test_argmax_tie_takes_lowest_class(self):
+        params = init_params(NET)  # zero classifier weights: logits = bias
+        params.cls_b.value[...] = [1.0, 3.0, 3.0]
+        bundle = score_image(params, self.IMAGE)
+        np.testing.assert_array_equal(bundle.argmax, 1)
+        params.cls_b.value[...] = 2.5
+        np.testing.assert_array_equal(score_image(params, self.IMAGE).argmax, 0)
