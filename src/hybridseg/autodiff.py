@@ -42,14 +42,13 @@ class Tensor:
         """Populate ``grad`` for every tensor this scalar depends on,
         then release the graph.
 
-        Each op's backprop closure holds a reference to its own output,
-        so a finished graph is a tangle of cycles that only the cycle
-        collector would reclaim; over a long training run those dead
-        graphs pile up faster than gc visits them.  Dropping ``_parents``
-        and ``_backprop`` here breaks the cycles so plain refcounting
-        frees the intermediates as soon as the caller lets go of the
-        loss.  The cost is that a graph can only be walked once; build a
-        fresh one per step (the second call raises).
+        The closures hold every intermediate activation, and the caller
+        usually keeps the loss until the next step's forward has run.
+        Dropping ``_parents`` and ``_backprop`` here frees one step's
+        activations before the next forward builds its own, so a training
+        loop holds one graph at a time, not two.  The cost is that a graph
+        can only be walked once; build a fresh one per step (the second
+        call raises).
         """
         if self._backprop is None and not self._parents:
             raise ContractViolation("backward() on a tensor with no recorded graph")
@@ -61,7 +60,7 @@ class Tensor:
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backprop is not None:
-                node._backprop()
+                node._backprop(node.grad)
         for node in order:
             node._parents = ()
             node._backprop = None
@@ -152,37 +151,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_val = a.value + b.value
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accumulate(a, _unbroadcast(g, a.value.shape))
         _accumulate(b, _unbroadcast(g, b.value.shape))
 
-    out = _make(out_val, (a, b), backprop)
-    return out
+    return _make(out_val, (a, b), backprop)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_val = a.value - b.value
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accumulate(a, _unbroadcast(g, a.value.shape))
         _accumulate(b, _unbroadcast(-g, b.value.shape))
 
-    out = _make(out_val, (a, b), backprop)
-    return out
+    return _make(out_val, (a, b), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_val = a.value * b.value
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
         _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
-    out = _make(out_val, (a, b), backprop)
-    return out
+    return _make(out_val, (a, b), backprop)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -191,11 +184,10 @@ def relu(x: Tensor) -> Tensor:
     # failures surface downstream instead of being flushed to zero
     out_val = np.maximum(x.value, 0.0)
 
-    def backprop():
-        _accumulate(x, out.grad * mask)
+    def backprop(g):
+        _accumulate(x, g * mask)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -203,21 +195,19 @@ def sigmoid(x: Tensor) -> Tensor:
     out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
 
-    def backprop():
-        _accumulate(x, out.grad * out_val * (1.0 - out_val))
+    def backprop(g):
+        _accumulate(x, g * out_val * (1.0 - out_val))
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def log(x: Tensor) -> Tensor:
     out_val = np.log(x.value)
 
-    def backprop():
-        _accumulate(x, out.grad / x.value)
+    def backprop(g):
+        _accumulate(x, g / x.value)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -225,21 +215,19 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.value >= lo) & (x.value <= hi)
     out_val = np.clip(x.value, lo, hi)
 
-    def backprop():
-        _accumulate(x, out.grad * inside)
+    def backprop(g):
+        _accumulate(x, g * inside)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def tsum(x: Tensor) -> Tensor:
     out_val = np.asarray(x.value.sum())
 
-    def backprop():
-        _accumulate(x, np.broadcast_to(out.grad, x.value.shape))
+    def backprop(g):
+        _accumulate(x, np.broadcast_to(g, x.value.shape))
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -256,11 +244,10 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
         return constant(0.0)
     out_val = np.asarray(x.value.sum(where=mask) / n)
 
-    def backprop():
-        _accumulate(x, out.grad * mask / n)
+    def backprop(g):
+        _accumulate(x, g * mask / n)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -290,8 +277,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out_val += b.value[None, :, None, None]
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
@@ -312,8 +298,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             _accumulate(x, gxp[:, :, p:p + h, p:p + wd] if p else gxp)
 
     parents = (x, w) if b is None else (x, w, b)
-    out = _make(out_val, parents, backprop)
-    return out
+    return _make(out_val, parents, backprop)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -340,8 +325,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
     out_val = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes))
         if gamma.requires_grad:
@@ -358,8 +342,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
             gx = gxhat * inv[None, :, None, None]
         _accumulate(x, gx)
 
-    out = _make(out_val, (x, gamma, beta), backprop)
-    return out
+    return _make(out_val, (x, gamma, beta), backprop)
 
 
 def channel_log_sum_exp(x: Tensor) -> Tensor:
@@ -368,12 +351,11 @@ def channel_log_sum_exp(x: Tensor) -> Tensor:
     m = xv.max(axis=1, keepdims=True)
     out_val = m + np.log(np.exp(xv - m).sum(axis=1, keepdims=True))
 
-    def backprop():
+    def backprop(g):
         softmax = np.exp(xv - out_val)
-        _accumulate(x, out.grad * softmax)
+        _accumulate(x, g * softmax)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)
 
 
 def take_channel(x: Tensor, index_map: np.ndarray) -> Tensor:
@@ -386,12 +368,11 @@ def take_channel(x: Tensor, index_map: np.ndarray) -> Tensor:
     idx4 = idx[:, None]
     out_val = np.take_along_axis(x.value, idx4, axis=1)
 
-    def backprop():
+    def backprop(g):
         gx = np.zeros_like(x.value)
         # each output element maps to exactly one input channel, so a plain
         # put works as scatter-add
-        np.put_along_axis(gx, idx4, out.grad, axis=1)
+        np.put_along_axis(gx, idx4, g, axis=1)
         _accumulate(x, gx)
 
-    out = _make(out_val, (x,), backprop)
-    return out
+    return _make(out_val, (x,), backprop)

@@ -4,6 +4,9 @@ Every subcommand reads an optional INI config (section named after the
 subcommand), applies flag overrides, writes a resolved-config sidecar next
 to its outputs, and exits 0 on success, 2 on configuration errors, 3 on
 data/format errors, 4 on numeric failures.
+
+The flags are made from ``config.SCHEMAS``, one ``--kebab-case`` string
+flag per key, and ``config.resolve`` parses them with the INI section.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from .metrics import (
     closed_miou,
     fpr_at_tpr,
     fuse_open_prediction,
-    open_confusion,
-    open_miou,
     range_binned,
     two_fold_open_eval,
 )
@@ -96,10 +97,19 @@ def main():
     """Dense open-set recognition pipeline on synthetic benchmarks."""
 
 
-def _config_option(fn):
-    return click.option("--config", "config_path", default=None,
-                        type=click.Path(dir_okay=False),
-                        help="INI file with a section per subcommand.")(fn)
+def _command(name: str, run, help_text: str) -> None:
+    """Register subcommand `name` on `main`: `--config` plus one string flag
+    per key of `config.SCHEMAS[name]`, in schema order. Parsing the flags is
+    left to `config.resolve`, whose result is handed to `run`."""
+    def callback(config_path, **overrides):
+        run(cfgmod.resolve(name, config_path, overrides))
+
+    params = [click.Option(["--config", "config_path"], type=click.Path(dir_okay=False),
+                           help="INI file with a section per subcommand.")]
+    params += [click.Option([f"--{key.name.replace('_', '-')}", key.name])
+               for key in cfgmod.SCHEMAS[name]]
+    main.add_command(click.Command(name, callback=_guarded(callback), params=params,
+                                   help=help_text))
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +144,7 @@ def run_synth(cfg: dict) -> None:
     click.echo(f"toy: {len(toy_train.points)} train / {len(toy_test.points)} test points")
 
 
-@main.command()
-@_config_option
-@click.option("--out", default=None)
-@click.option("--seed", default=None)
-@click.option("--scene-size", "scene_size", default=None)
-@click.option("--train-count", "train_count", default=None)
-@click.option("--val-count", "val_count", default=None)
-@click.option("--test-count", "test_count", default=None)
-@click.option("--toy-points", "toy_points", default=None)
-@click.option("--force", default=None)
-@_guarded
-def synth(config_path, **overrides):
-    """Generate the toy and scene datasets."""
-    run_synth(cfgmod.resolve("synth", config_path, overrides))
+_command("synth", run_synth, "Generate the toy and scene datasets.")
 
 
 # ---------------------------------------------------------------------------
@@ -216,42 +213,28 @@ def _write_history(path, history: list[LossBreakdown]) -> None:
     _write_csv(path, ("epoch",) + LossBreakdown.CSV_FIELDS, rows)
 
 
-@main.command(name="train")
-@_config_option
-@click.option("--data", default=None)
-@click.option("--out", default=None)
-@click.option("--seed", default=None)
-@click.option("--num-classes", "num_classes", default=None)
-@click.option("--widths", default=None)
-@click.option("--kernel-size", "kernel_size", default=None)
-@click.option("--epochs", default=None)
-@click.option("--batches-per-epoch", "batches_per_epoch", default=None)
-@click.option("--batch-size", "batch_size", default=None)
-@click.option("--crop-size", "crop_size", default=None)
-@click.option("--paste-count", "paste_count", default=None)
-@click.option("--patch-count", "patch_count", default=None)
-@click.option("--beta", default=None)
-@click.option("--lr", default=None)
-@click.option("--lr-end", "lr_end", default=None)
-@click.option("--schedule", default=None)
-@click.option("--resume", default=None)
-@_guarded
-def train_cmd(config_path, **overrides):
-    """Train on mixed-content crops from a synthesized dataset."""
-    run_train(cfgmod.resolve("train", config_path, overrides))
+_command("train", run_train, "Train on mixed-content crops from a synthesized dataset.")
 
 
 # ---------------------------------------------------------------------------
 # score
 
 
-def run_score(cfg: dict) -> None:
-    params, _ = load_checkpoint(cfg["checkpoint"])
+def _variants(cfg: dict) -> list[str]:
     variants = [v.strip() for v in cfg["variants"].split(",") if v.strip()]
     unknown = set(variants) - set(SCORE_VARIANTS)
     if unknown:
         raise ConfigError(f"unknown score variants: {sorted(unknown)}")
-    tau = float(cfg["tau"]) if cfg["tau"] != "" else None
+    return variants
+
+
+def run_score(cfg: dict) -> None:
+    params, _ = load_checkpoint(cfg["checkpoint"])
+    variants = _variants(cfg)
+    try:
+        tau = float(cfg["tau"]) if cfg["tau"] != "" else None
+    except ValueError:
+        raise ConfigError(f"key tau: cannot parse {cfg['tau']!r} as float") from None
 
     manifest = Path(cfg["data"])
     root = manifest.parent
@@ -275,18 +258,8 @@ def run_score(cfg: dict) -> None:
     click.echo(f"scored {len(rows)} {cfg['split']} images -> {out}")
 
 
-@main.command()
-@_config_option
-@click.option("--checkpoint", default=None)
-@click.option("--data", default=None)
-@click.option("--out", default=None)
-@click.option("--split", default=None)
-@click.option("--variants", default=None)
-@click.option("--tau", default=None)
-@_guarded
-def score(config_path, **overrides):
-    """Export per-image anomaly-score rasters (and fused maps when tau given)."""
-    run_score(cfgmod.resolve("score", config_path, overrides))
+_command("score", run_score,
+         "Export per-image anomaly-score rasters (and fused maps when tau given).")
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +273,21 @@ def _metric_row(split, metric, bin_name, compute):
         return (split, metric, bin_name, "nan", f"error: {exc}")
 
 
+def _read_shaped(reader, path, shape) -> np.ndarray:
+    """``reader(path)``, rejected unless it has its label's ``shape``."""
+    raster = reader(path)
+    if raster.shape != shape:
+        raise DataFormatError(f"{path}: shape {raster.shape} differs from its label's {shape}")
+    return raster
+
+
 def run_eval(cfg: dict) -> None:
     manifest = Path(cfg["data"])
     root = manifest.parent
     rows = [r for r in read_manifest(manifest) if r.split == cfg["split"]]
     if not rows:
         raise DataFormatError(f"{manifest}: no rows for split {cfg['split']!r}")
-    variants = [v.strip() for v in cfg["variants"].split(",") if v.strip()]
+    variants = _variants(cfg)
     scores_dir = Path(cfg["scores"])
     k = cfg["num_classes"]
     split = cfg["split"]
@@ -315,12 +296,19 @@ def run_eval(cfg: dict) -> None:
     score_maps = {v: [] for v in variants}
     for row in rows:
         stem = Path(row.image).stem
-        gts.append(read_pgm(root / row.label).astype(np.int64))
-        argmaxes.append(read_pgm(scores_dir / f"{stem}_argmax.pgm").astype(np.int64))
+        gt = read_pgm(root / row.label).astype(np.int64)
+        argmax_path = scores_dir / f"{stem}_argmax.pgm"
+        am = _read_shaped(read_pgm, argmax_path, gt.shape).astype(np.int64)
+        if np.any(am >= k):
+            raise DataFormatError(f"{argmax_path}: class {am.max()} >= num_classes {k}")
+        gts.append(gt)
+        argmaxes.append(am)
         for v in variants:
-            score_maps[v].append(read_score_raster(scores_dir / f"{stem}_{v}.dhsc"))
+            score_maps[v].append(_read_shaped(read_score_raster,
+                                              scores_dir / f"{stem}_{v}.dhsc", gt.shape))
         dist_path = root / f"{stem}_dist.pgm"
-        dists.append(read_pgm(dist_path).astype(float) if dist_path.exists() else None)
+        dists.append(_read_shaped(read_pgm, dist_path, gt.shape).astype(float)
+                     if dist_path.exists() else None)
 
     keep = [gt != IGNORE_LABEL for gt in gts]
     truth = np.concatenate([(gt == k)[m] for gt, m in zip(gts, keep)])
@@ -363,21 +351,7 @@ def run_eval(cfg: dict) -> None:
         click.echo(",".join(str(c) for c in row))
 
 
-@main.command(name="eval")
-@_config_option
-@click.option("--data", default=None)
-@click.option("--scores", default=None)
-@click.option("--out", default=None)
-@click.option("--split", default=None)
-@click.option("--num-classes", "num_classes", default=None)
-@click.option("--variants", default=None)
-@click.option("--target-tpr", "target_tpr", default=None)
-@click.option("--two-fold", "two_fold", default=None)
-@click.option("--bins", default=None)
-@_guarded
-def eval_cmd(config_path, **overrides):
-    """Compute detection metrics, closed mIoU, and two-fold open-mIoU."""
-    run_eval(cfgmod.resolve("eval", config_path, overrides))
+_command("eval", run_eval, "Compute detection metrics, closed mIoU, and two-fold open-mIoU.")
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +429,7 @@ def run_toy(cfg: dict) -> None:
         click.echo(f"{v}: median test AUROC {statistics.median(per_variant[v]):.4f}")
 
 
-@main.command()
-@_config_option
-@click.option("--out", default=None)
-@click.option("--seeds", default=None)
-@click.option("--n-per-role", "n_per_role", default=None)
-@click.option("--widths", default=None)
-@click.option("--steps", default=None)
-@click.option("--beta", default=None)
-@click.option("--lr", default=None)
-@click.option("--lr-end", "lr_end", default=None)
-@_guarded
-def toy(config_path, **overrides):
-    """Run the 2-D benchmark end to end and report per-variant rankings."""
-    run_toy(cfgmod.resolve("toy", config_path, overrides))
+_command("toy", run_toy, "Run the 2-D benchmark end to end and report per-variant rankings.")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Run configuration: INI files, flag overrides, resolved-config sidecars.
 
-One INI file can hold a section per subcommand. Resolution order for each
-key is: built-in default, then the config-file section, then an explicit
-command-line flag. Every run writes its fully resolved configuration (plus
+`SCHEMAS` is the one declaration of each subcommand's keys: the CLI makes
+one flag per key from it, so adding a key here adds its flag. One INI file
+can hold a section per subcommand. Resolution order for each key is:
+built-in default, then the config-file section, then an explicit
+command-line flag. An unreadable file, unknown key or unparsable value is a
+`ConfigError`. Every run writes its fully resolved configuration (plus
 a content hash) next to its outputs so the run can be reproduced
 byte-for-byte from that file alone.
 """
@@ -114,14 +117,17 @@ def resolve(command: str, config_path: str | None,
 
     if config_path:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path, encoding="utf-8")
+        try:
+            read = parser.read(config_path, encoding="utf-8")
+            items = parser.items(command) if parser.has_section(command) else []
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"{config_path}: unreadable config: {exc}") from None
         if not read:
             raise ConfigError(f"config file not found: {config_path}")
-        if parser.has_section(command):
-            for name, raw in parser.items(command):
-                if name not in known:
-                    raise ConfigError(f"unknown key {name!r} in [{command}]")
-                resolved[name] = _parse(known[name], raw)
+        for name, raw in items:
+            if name not in known:
+                raise ConfigError(f"unknown key {name!r} in [{command}]")
+            resolved[name] = _parse(known[name], raw)
 
     for name, value in overrides.items():
         if value is None:

@@ -505,6 +505,10 @@ def load_scene(root, row: ManifestRow) -> SceneSample:
     roles = read_pgm(root / row.mask)
     dist_path = root / (Path(row.image).stem + "_dist.pgm")
     distance = read_pgm(dist_path).astype(np.float64) if dist_path.exists() else None
+    for raster in (labels, roles, distance):
+        if raster is not None and raster.shape != image.shape[1:]:
+            raise DataFormatError(f"{row.image}: label, role or distance raster shape "
+                                  f"{raster.shape} differs from the image's {image.shape[1:]}")
     invalid = (roles == PixelRole.INLIER) & (labels == IGNORE_LABEL)
     if invalid.any():
         raise DataFormatError(f"{row.image}: inlier pixels without class labels")

@@ -41,6 +41,8 @@ class NetworkConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        if self.input_channels < 1:
+            raise ContractViolation("input_channels must be >= 1")
         if self.num_classes < 2:
             raise ContractViolation("num_classes must be >= 2")
         if not self.widths or any(w < 1 for w in self.widths):

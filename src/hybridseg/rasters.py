@@ -140,14 +140,14 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
 
 
 def read_manifest(path) -> list[ManifestRow]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(MANIFEST_FIELDS):
-            raise DataFormatError(f"{path}: manifest header must be {','.join(MANIFEST_FIELDS)}")
-        rows = []
-        for line in reader:
-            if len(line) != len(MANIFEST_FIELDS):
-                raise DataFormatError(f"{path}: malformed manifest row {line!r}")
-            rows.append(ManifestRow(*line))
-        return rows
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: unreadable manifest: {exc}") from None
+    if not lines or lines[0] != list(MANIFEST_FIELDS):
+        raise DataFormatError(f"{path}: manifest header must be {','.join(MANIFEST_FIELDS)}")
+    for line in lines[1:]:
+        if len(line) != len(MANIFEST_FIELDS):
+            raise DataFormatError(f"{path}: malformed manifest row {line!r}")
+    return [ManifestRow(*line) for line in lines[1:]]

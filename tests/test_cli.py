@@ -1,13 +1,21 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from hybridseg import cli
+from hybridseg import config as cfgmod
 from hybridseg.cli import main
 from hybridseg.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
-from hybridseg.rasters import read_manifest, read_pgm, read_score_raster
+from hybridseg.rasters import (
+    read_manifest,
+    read_pgm,
+    read_score_raster,
+    write_pgm,
+    write_score_raster,
+)
 
 RUNNER = CliRunner()
 
@@ -195,6 +203,14 @@ class TestScore:
                                       "--out", str(tmp_path), "--variants", "energy"])
         assert result.exit_code == 2
 
+    def test_unparsable_tau_is_a_config_error(self, workspace, tmp_path):
+        result = RUNNER.invoke(main, ["score", "--checkpoint",
+                                      str(workspace["run"] / "checkpoint.dhck"),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path), "--tau", "abc"])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+
     def test_missing_checkpoint_is_a_data_error(self, workspace, tmp_path):
         result = RUNNER.invoke(main, ["score", "--checkpoint", str(tmp_path / "no.dhck"),
                                       "--data", str(workspace["manifest"]),
@@ -250,6 +266,51 @@ class TestEval:
         assert ((tmp_path / "metrics.csv").read_text()
                 == (workspace["run"] / "metrics.csv").read_text())
 
+    def eval_on(self, workspace, tmp_path, *extra, scores=None):
+        return RUNNER.invoke(main, [str(a) for a in [
+            "eval", "--data", workspace["manifest"],
+            "--scores", scores or workspace["run"] / "scores",
+            "--out", tmp_path / "m.csv", *extra]])
+
+    def damaged_scores(self, workspace, tmp_path, name, write, raster):
+        scores = tmp_path / "scores"
+        shutil.copytree(workspace["run"] / "scores", scores)
+        write(scores / name, raster)
+        return scores
+
+    def test_unknown_variant_is_a_config_error(self, workspace, tmp_path):
+        result = self.eval_on(workspace, tmp_path, "--variants", "foo")
+        assert result.exit_code == 2, result.output
+        assert "unknown score variants" in result.output
+
+    def test_score_raster_shape_mismatch_is_a_data_error(self, workspace, tmp_path):
+        scores = self.damaged_scores(workspace, tmp_path, "test_0000_hybrid.dhsc",
+                                     write_score_raster, np.zeros((4, 4)))
+        result = self.eval_on(workspace, tmp_path, scores=scores)
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.output
+
+    def test_out_of_range_argmax_is_a_data_error(self, workspace, tmp_path):
+        scores = self.damaged_scores(workspace, tmp_path, "test_0000_argmax.pgm",
+                                     write_pgm, np.full((32, 32), 3, np.uint8))
+        result = self.eval_on(workspace, tmp_path, scores=scores)
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.output
+
+    def test_non_utf8_manifest_is_a_data_error(self, workspace, tmp_path):
+        bad = workspace["manifest"].parent / "manifest_not_utf8.csv"
+        bad.write_bytes(workspace["manifest"].read_bytes() + b"test,x\xff.ppm,x.pgm,y.pgm\n")
+        result = RUNNER.invoke(main, ["eval", "--data", str(bad),
+                                      "--scores", str(workspace["run"] / "scores"),
+                                      "--out", str(tmp_path / "m.csv")])
+        assert result.exit_code == 3, result.output
+
+    def test_non_utf8_config_is_a_config_error(self, workspace, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[eval]\nsplit = test\xff\n")
+        result = self.eval_on(workspace, tmp_path, "--config", ini)
+        assert result.exit_code == 2, result.output
+
     def test_missing_scores_dir_is_a_data_error(self, workspace, tmp_path):
         result = RUNNER.invoke(main, ["eval", "--data", str(workspace["manifest"]),
                                       "--scores", str(tmp_path / "nothing"),
@@ -277,3 +338,35 @@ class TestToy:
             _, _, auroc_s, ap_s, unseen_s = line.split(",")
             for value in (auroc_s, ap_s, unseen_s):
                 assert 0.0 <= float(value) <= 1.0
+
+
+# per key kind: INI text, flag text, and the values they parse to
+KIND_VALUES = {"int": ("1", "2", 1, 2), "float": ("0.25", "0.5", 0.25, 0.5),
+               "bool": ("false", "true", False, True),
+               "str": ("from-ini", "from-flag", "from-ini", "from-flag")}
+
+
+class StopBeforeWork(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c, keys in cfgmod.SCHEMAS.items()
+                                         for k in keys],
+                         ids=lambda v: v if isinstance(v, str) else v.name)
+def test_every_flag_overrides_its_config_file_key(command, key, tmp_path, monkeypatch):
+    schema = cfgmod.SCHEMAS[command]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n" + "".join(
+        f"{k.name} = {KIND_VALUES[k.kind][0]}\n" for k in schema))
+    resolved = {}
+    real_resolve = cfgmod.resolve
+
+    def resolve_then_stop(*args):
+        resolved.update(real_resolve(*args))
+        raise StopBeforeWork
+
+    monkeypatch.setattr(cfgmod, "resolve", resolve_then_stop)
+    result = RUNNER.invoke(main, [command, "--config", str(ini),
+                                  f"--{key.name.replace('_', '-')}", KIND_VALUES[key.kind][1]])
+    assert isinstance(result.exception, StopBeforeWork), result.output
+    assert resolved == {k.name: KIND_VALUES[k.kind][3 if k is key else 2] for k in schema}

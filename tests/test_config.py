@@ -55,6 +55,15 @@ class TestResolve:
         with pytest.raises(ConfigError, match="not found"):
             resolve("toy", "/nonexistent/run.ini", {"out": "x"})
 
+    @pytest.mark.parametrize("text", [b"[toy]\nout = run\xff\n", b"out = run\n",
+                                      b"[toy]\nout = 50%\n"],
+                             ids=["not-utf8", "no-section-header", "bad-interpolation"])
+    def test_unreadable_config_file_rejected(self, tmp_path, text):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        with pytest.raises(ConfigError):
+            resolve("toy", str(ini), {})
+
     def test_other_sections_are_ignored(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[toy]\nsteps = 9\n[synth]\nseed = 3\n")

@@ -336,3 +336,12 @@ class TestSceneStorage:
         write_pgm(label_path, labels)
         with pytest.raises(DataFormatError):
             load_scene(tmp_path, row)
+
+    @pytest.mark.parametrize("raster", ["label", "mask"])
+    def test_load_rejects_a_raster_of_another_size(self, tmp_path, raster):
+        splits = gen_scenes(0, SceneConfig(size=32), {"train": 1})
+        row = read_manifest(save_scenes(tmp_path, splits))[0]
+        from hybridseg.rasters import write_pgm
+        write_pgm(tmp_path / getattr(row, raster), np.zeros((16, 16), np.uint8))
+        with pytest.raises(DataFormatError):
+            load_scene(tmp_path, row)

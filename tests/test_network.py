@@ -30,6 +30,8 @@ class TestConfig:
             NetworkConfig(input_channels=3, widths=(), num_classes=3)
         with pytest.raises(ContractViolation):
             NetworkConfig(input_channels=3, widths=(8,), num_classes=3, kernel_size=2)
+        with pytest.raises(ContractViolation):
+            NetworkConfig(input_channels=0, widths=(8,), num_classes=3)
 
     def test_json_round_trip(self):
         assert NetworkConfig.from_json(CFG.to_json()) == CFG
@@ -161,7 +163,9 @@ class TestCheckpoint:
         b'{"input_channels": 3, "widths": [8]}',
         b"[3, 8]",
         CFG.to_json().replace('"num_classes":4', '"num_classes":1').encode(),
-    ], ids=["not-json", "not-utf8", "missing-keys", "not-an-object", "invalid-config"])
+        CFG.to_json().replace('"input_channels":3', '"input_channels":0').encode(),
+    ], ids=["not-json", "not-utf8", "missing-keys", "not-an-object", "invalid-config",
+            "zero-input-channels"])
     def test_malformed_config_block_rejected(self, tmp_path, blob):
         p = tmp_path / "c.dhck"
         p.write_bytes(CHECKPOINT_MAGIC

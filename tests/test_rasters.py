@@ -137,3 +137,12 @@ class TestManifest:
         p.write_text("split,image,label,mask\ntrain,a.ppm\n")
         with pytest.raises(DataFormatError):
             read_manifest(p)
+
+    @pytest.mark.parametrize("row", [b"train,a\xff.ppm,a.pgm,m.pgm\n",
+                                     b"train," + b"a" * 200_000 + b",a.pgm,m.pgm\n"],
+                             ids=["not-utf8", "field-over-csv-limit"])
+    def test_rejects_unreadable_rows(self, tmp_path, row):
+        p = tmp_path / "manifest.csv"
+        p.write_bytes(b"split,image,label,mask\n" + row)
+        with pytest.raises(DataFormatError):
+            read_manifest(p)

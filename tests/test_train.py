@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -187,3 +188,15 @@ class TestScoreImage:
         np.testing.assert_array_equal(bundle.argmax, 1)
         params.cls_b.value[...] = 2.5
         np.testing.assert_array_equal(score_image(params, self.IMAGE).argmax, 0)
+
+    def test_scoring_leaves_no_reference_cycles(self):
+        # the graph score_image builds is never back-propagated, so plain
+        # refcounting must free it: nothing may be left for the collector
+        params = init_params(NET)
+        gc.collect()
+        gc.disable()
+        try:
+            score_image(params, np.random.default_rng(1).uniform(size=(3, 64, 64)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
