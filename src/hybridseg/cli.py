@@ -31,6 +31,7 @@ from .data import (
     load_scene,
     mixed_batch,
     save_scenes,
+    split_rows,
 )
 from .errors import (
     ConfigError,
@@ -51,18 +52,13 @@ from .metrics import (
     closed_miou,
     fpr_at_tpr,
     fuse_open_prediction,
+    pool_pixels,
     range_binned,
     two_fold_open_eval,
 )
 from .network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .optim import LrSchedule
-from .rasters import (
-    read_manifest,
-    read_pgm,
-    read_score_raster,
-    write_pgm,
-    write_score_raster,
-)
+from .rasters import read_pgm, read_score_raster, write_pgm, write_score_raster
 from .train import TrainConfig, train
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -153,11 +149,8 @@ _command("synth", run_synth, "Generate the toy and scene datasets.")
 
 def run_train(cfg: dict) -> None:
     manifest = Path(cfg["data"])
-    root = manifest.parent
-    rows = [r for r in read_manifest(manifest) if r.split == "train"]
-    if not rows:
-        raise DataFormatError(f"{manifest}: no train rows")
-    scenes = [load_scene(root, r) for r in rows]
+    scenes = [load_scene(manifest.parent, r, cfg["num_classes"])
+              for r in split_rows(manifest, "train")]
 
     # a zero beta is the plain closed-set baseline: no negatives are pasted,
     # so the outlier loss terms are exactly zero in the log
@@ -166,16 +159,18 @@ def run_train(cfg: dict) -> None:
     aug = AugmentConfig(crop_size=cfg["crop_size"], paste_count=paste_count,
                         num_classes=cfg["num_classes"])
 
+    net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
+                        num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
+                        seed=cfg["seed"])
     start_step = 0
     if cfg["resume"]:
         params, start_step = load_checkpoint(cfg["resume"])
-        if params.config.num_classes != cfg["num_classes"]:
-            raise ConfigError("checkpoint num_classes differs from configuration")
+        differs = [f for f in ("input_channels", "widths", "num_classes", "kernel_size")
+                   if getattr(params.config, f) != getattr(net, f)]
+        if differs:
+            raise ConfigError(f"checkpoint {', '.join(differs)} differs from configuration")
     else:
-        params = init_params(NetworkConfig(
-            input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
-            num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
-            seed=cfg["seed"]))
+        params = init_params(net)
 
     total_steps = start_step + cfg["epochs"] * cfg["batches_per_epoch"]
     schedule = LrSchedule(kind=cfg["schedule"], lr_start=cfg["lr"],
@@ -230,6 +225,7 @@ def _variants(cfg: dict) -> list[str]:
 
 def run_score(cfg: dict) -> None:
     params, _ = load_checkpoint(cfg["checkpoint"])
+    k = params.config.num_classes
     variants = _variants(cfg)
     try:
         tau = float(cfg["tau"]) if cfg["tau"] != "" else None
@@ -237,22 +233,18 @@ def run_score(cfg: dict) -> None:
         raise ConfigError(f"key tau: cannot parse {cfg['tau']!r} as float") from None
 
     manifest = Path(cfg["data"])
-    root = manifest.parent
-    rows = [r for r in read_manifest(manifest) if r.split == cfg["split"]]
-    if not rows:
-        raise DataFormatError(f"{manifest}: no rows for split {cfg['split']!r}")
+    rows = split_rows(manifest, cfg["split"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     for row in rows:
         stem = Path(row.image).stem
-        bundle = score_image(params, load_scene(root, row).image)
+        bundle = score_image(params, load_scene(manifest.parent, row, k).image)
         for v in variants:
             write_score_raster(out / f"{stem}_{v}.dhsc", bundle.variant(v))
         write_pgm(out / f"{stem}_argmax.pgm", bundle.argmax.astype(np.uint8))
         if tau is not None:
-            fused = fuse_open_prediction(bundle.argmax, bundle.hybrid, tau,
-                                         params.config.num_classes)
+            fused = fuse_open_prediction(bundle.argmax, bundle.hybrid, tau, k)
             write_pgm(out / f"{stem}_open.pgm", fused.astype(np.uint8))
     cfgmod.write_sidecar(out, "score", cfg)
     click.echo(f"scored {len(rows)} {cfg['split']} images -> {out}")
@@ -283,10 +275,7 @@ def _read_shaped(reader, path, shape) -> np.ndarray:
 
 def run_eval(cfg: dict) -> None:
     manifest = Path(cfg["data"])
-    root = manifest.parent
-    rows = [r for r in read_manifest(manifest) if r.split == cfg["split"]]
-    if not rows:
-        raise DataFormatError(f"{manifest}: no rows for split {cfg['split']!r}")
+    rows = split_rows(manifest, cfg["split"])
     variants = _variants(cfg)
     scores_dir = Path(cfg["scores"])
     k = cfg["num_classes"]
@@ -296,29 +285,27 @@ def run_eval(cfg: dict) -> None:
     score_maps = {v: [] for v in variants}
     for row in rows:
         stem = Path(row.image).stem
-        gt = read_pgm(root / row.label).astype(np.int64)
+        scene = load_scene(manifest.parent, row, k)
+        shape = scene.labels.shape
         argmax_path = scores_dir / f"{stem}_argmax.pgm"
-        am = _read_shaped(read_pgm, argmax_path, gt.shape).astype(np.int64)
+        am = _read_shaped(read_pgm, argmax_path, shape).astype(np.int64)
         if np.any(am >= k):
             raise DataFormatError(f"{argmax_path}: class {am.max()} >= num_classes {k}")
-        gts.append(gt)
+        gts.append(scene.labels)
         argmaxes.append(am)
+        dists.append(scene.distance)
         for v in variants:
             score_maps[v].append(_read_shaped(read_score_raster,
-                                              scores_dir / f"{stem}_{v}.dhsc", gt.shape))
-        dist_path = root / f"{stem}_dist.pgm"
-        dists.append(_read_shaped(read_pgm, dist_path, gt.shape).astype(float)
-                     if dist_path.exists() else None)
+                                              scores_dir / f"{stem}_{v}.dhsc", shape))
 
-    keep = [gt != IGNORE_LABEL for gt in gts]
-    truth = np.concatenate([(gt == k)[m] for gt, m in zip(gts, keep)])
     out_rows = []
-
     cm = sum(closed_confusion(am, gt, k) for am, gt in zip(argmaxes, gts))
     out_rows.append(_metric_row(split, "closed_miou", "", lambda: closed_miou(cm)))
 
     for v in variants:
-        pooled = np.concatenate([s[m] for s, m in zip(score_maps[v], keep)])
+        images = [EvalImage(argmax=am, scores=s, gt=gt)
+                  for am, s, gt in zip(argmaxes, score_maps[v], gts)]
+        pooled, truth = pool_pixels(images, k)
         out_rows.append(_metric_row(split, f"ap/{v}", "",
                                     lambda: average_precision(pooled, truth)))
         out_rows.append(_metric_row(split, f"auroc/{v}", "", lambda: auroc(pooled, truth)))
@@ -327,8 +314,6 @@ def run_eval(cfg: dict) -> None:
             lambda: fpr_at_tpr(pooled, truth, cfg["target_tpr"])[0]))
 
         if cfg["two_fold"]:
-            images = [EvalImage(argmax=am, scores=s, gt=gt)
-                      for am, s, gt in zip(argmaxes, score_maps[v], gts)]
             half = max(1, len(images) // 2)
             out_rows.append(_metric_row(
                 split, f"open_miou/{v}", "",
@@ -336,7 +321,7 @@ def run_eval(cfg: dict) -> None:
                                            cfg["target_tpr"])))
 
         if cfg["bins"] and all(d is not None for d in dists):
-            distance = np.concatenate([d[m] for d, m in zip(dists, keep)])
+            distance = np.concatenate([d[gt != IGNORE_LABEL] for d, gt in zip(dists, gts)])
             edges = cfgmod.parse_float_list(cfg["bins"])
             for res in range_binned(pooled, truth, distance, edges, cfg["target_tpr"]):
                 bin_name = f"{res.lo:g}-{res.hi:g}m"

@@ -116,7 +116,7 @@ def resolve(command: str, config_path: str | None,
     resolved = {k.name: k.default for k in schema}
 
     if config_path:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # values are literal
         try:
             read = parser.read(config_path, encoding="utf-8")
             items = parser.items(command) if parser.has_section(command) else []

@@ -1,4 +1,4 @@
-"""Synthetic benchmarks and the mixed-content training pipeline.
+"""Synthetic benchmarks, the mixed-content training pipeline, the dataset directory.
 
 Two data sources live here:
 
@@ -14,6 +14,10 @@ Two data sources live here:
 Every generator derives its randomness from an explicit seed (per-sample
 streams come from ``SeedSequence([seed, ...indices])``), so datasets are
 reproducible element by element and safe to generate in parallel.
+
+``save_scenes`` writes a dataset directory (a PPM image and label, role and
+distance PGMs per scene, listed in ``manifest.csv``); ``split_rows`` and
+``load_scene`` are its one reader, and ``load_scene`` owns all its checks.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 
 from .errors import ContractViolation, DataFormatError
 from .labels import IGNORE_LABEL, PixelRole, outlier_label
-from .rasters import ManifestRow, read_pgm, read_ppm, write_manifest, write_pgm, write_ppm
+from .rasters import (ManifestRow, read_manifest, read_pgm, read_ppm, write_manifest,
+                      write_pgm, write_ppm)
 
 # ---------------------------------------------------------------------------
 # 2-D point benchmark
@@ -498,7 +503,17 @@ def save_scenes(root, splits: dict[str, list[SceneSample]]) -> Path:
     return manifest
 
 
-def load_scene(root, row: ManifestRow) -> SceneSample:
+def split_rows(manifest, split: str) -> list[ManifestRow]:
+    """The rows of `split` in `manifest`; a split with no rows is rejected."""
+    rows = [r for r in read_manifest(manifest) if r.split == split]
+    if not rows:
+        raise DataFormatError(f"{manifest}: no rows for split {split!r}")
+    return rows
+
+
+def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
+    """Read one row's rasters: all of the image's size, labels in
+    0..num_classes or IGNORE_LABEL, and a class on every inlier pixel."""
     root = Path(root)
     image = read_ppm(root / row.image).astype(np.float64).transpose(2, 0, 1) / 255.0
     labels = read_pgm(root / row.label).astype(np.int64)
@@ -509,6 +524,10 @@ def load_scene(root, row: ManifestRow) -> SceneSample:
         if raster is not None and raster.shape != image.shape[1:]:
             raise DataFormatError(f"{row.image}: label, role or distance raster shape "
                                   f"{raster.shape} differs from the image's {image.shape[1:]}")
+    invalid = (labels > num_classes) & (labels != IGNORE_LABEL)
+    if invalid.any():
+        raise DataFormatError(f"{row.label}: label {labels[invalid].max()} outside "
+                              f"0..{num_classes} and {IGNORE_LABEL}")
     invalid = (roles == PixelRole.INLIER) & (labels == IGNORE_LABEL)
     if invalid.any():
         raise DataFormatError(f"{row.image}: inlier pixels without class labels")

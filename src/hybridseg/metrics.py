@@ -1,12 +1,15 @@
 """Detection and segmentation metrics.
 
-Scores follow the convention "higher = more anomalous" throughout. All
-ranking metrics operate on threshold groups, so tied scores are handled
-identically no matter the input order, and every metric is invariant under
-strictly increasing transforms of the scores.
+Scores follow the convention "higher = more anomalous" throughout. Every
+ranking metric (AP, AUROC, and FPR with its threshold at a target TPR) is
+computed from `_threshold_groups`, so tied scores are handled identically
+no matter the input order, and every metric is invariant under strictly
+increasing transforms of the scores. The two-fold protocol calibrates its
+threshold with `fpr_at_tpr`, and both confusion matrices come from
+`open_confusion`.
 
-IGNORE pixels must be excluded by the caller before anything here runs; the
-label-map helpers do that exclusion themselves.
+IGNORE pixels must be excluded by the caller before a ranking metric runs;
+the label-map helpers do that exclusion themselves.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ def _threshold_groups(scores, truth):
     last = np.nonzero(np.diff(s))[0]
     ends = np.append(last, s.size - 1)
     cum_tp = np.cumsum(t)[ends]
-    cum_fp = np.cumsum(~t)[ends]
-    return s[ends], cum_tp, cum_fp, int(truth.sum()), int((~truth).sum())
+    npos = int(cum_tp[-1])
+    return s[ends], cum_tp, ends + 1 - cum_tp, npos, truth.size - npos
 
 
 def average_precision(scores, truth) -> float:
@@ -83,22 +86,18 @@ def fpr_at_tpr(scores, truth, target_tpr: float = 0.95) -> tuple[float, float]:
 def auroc(scores, truth) -> float:
     """Probability that a random positive outscores a random negative.
 
-    Rank-sum formulation; tied pairs count one half.
+    Each group's positives beat every negative below the group; pairs tied
+    within a group count one half. The numerator is a sum of half-integers,
+    so it is exact.
     """
     scores, truth = _validated(scores, truth)
     if not truth.any() or truth.all():
         raise DegenerateScoreSet("AUROC needs both positives and negatives")
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    # midranks: ties share the average of their 1-based rank range
-    boundaries = np.nonzero(np.diff(s))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [s.size]])
-    ranks = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
-    npos = int(truth.sum())
-    nneg = truth.size - npos
-    rank_sum = ranks[truth[order]].sum()
-    return float((rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg))
+    _, cum_tp, cum_fp, npos, nneg = _threshold_groups(scores, truth)
+    tp = np.diff(cum_tp, prepend=0)
+    fp = np.diff(cum_fp, prepend=0)
+    wins = ((nneg - cum_fp) * tp + 0.5 * tp * fp).sum()
+    return float(wins / (npos * nneg))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +149,9 @@ def open_miou(cm: np.ndarray) -> tuple[np.ndarray, float]:
     if cm.shape != (n, n) or n < 2:
         raise ContractViolation("confusion matrix must be square, (K+1) >= 2")
     k = n - 1
-    per_class = np.full(k, np.nan)
-    for c in range(k):
-        tp = cm[c, c]
-        fp = cm[:, c].sum() - tp
-        fn = cm[c, :].sum() - tp
-        if tp + fp + fn > 0:
-            per_class[c] = tp / float(tp + fp + fn)
+    tp = np.diag(cm)[:k]
+    union = cm.sum(axis=0)[:k] + cm.sum(axis=1)[:k] - tp  # tp + fp + fn
+    per_class = np.where(union > 0, tp / np.maximum(union, 1), np.nan)
     if np.isnan(per_class).all():
         raise DegenerateScoreSet("no inlier class has any pixels")
     return per_class, float(np.nanmean(per_class))
@@ -165,34 +160,22 @@ def open_miou(cm: np.ndarray) -> tuple[np.ndarray, float]:
 def closed_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """K x K counts over pixels whose ground truth is an inlier class.
 
-    `pred` must be a closed-set map (values 0..K-1); outlier- or
-    ignore-labeled ground truth pixels are skipped.
+    `pred` must be a closed-set map (values 0..K-1); this is the inlier
+    block of `open_confusion`, so outlier- and ignore-labeled ground truth
+    pixels are skipped.
     """
-    pred = np.asarray(pred).ravel()
-    gt = np.asarray(gt).ravel()
-    if pred.shape != gt.shape:
-        raise ContractViolation("prediction/ground-truth shape mismatch")
-    keep = (gt >= 0) & (gt < num_classes)
-    pred, gt = pred[keep], gt[keep]
+    pred = np.asarray(pred)
     if pred.size and (pred.min() < 0 or pred.max() >= num_classes):
         raise ContractViolation("closed-set prediction labels out of range")
-    counts = np.bincount(gt * num_classes + pred, minlength=num_classes * num_classes)
-    return counts.reshape(num_classes, num_classes)
+    return open_confusion(pred, gt, num_classes)[:num_classes, :num_classes]
 
 
 def closed_miou(cm: np.ndarray) -> float:
-    per_class, mean = open_miou(np.pad(np.asarray(cm), ((0, 1), (0, 1))))
-    return mean
+    return open_miou(np.pad(np.asarray(cm), ((0, 1), (0, 1))))[1]
 
 
 # ---------------------------------------------------------------------------
 # Two-fold open-set evaluation
-
-
-@dataclass(frozen=True)
-class ThresholdCalibration:
-    tau: float
-    achieved_tpr: float
 
 
 @dataclass(frozen=True)
@@ -204,25 +187,11 @@ class EvalImage:
     gt: np.ndarray      # (H, W) open labels (K = outlier)
 
 
-def calibrate_threshold(scores, truth, target_tpr: float = 0.95) -> ThresholdCalibration:
-    """Largest tau with TPR >= target on the given pixels."""
-    scores, truth = _validated(scores, truth)
-    if not truth.any():
-        raise DegenerateScoreSet("calibration needs anomalous pixels")
-    if target_tpr <= 0.0:
-        return ThresholdCalibration(tau=float("inf"), achieved_tpr=0.0)
-    taus, cum_tp, _, npos, _ = _threshold_groups(scores, truth)
-    k = int(np.nonzero(cum_tp / npos >= target_tpr)[0][0])
-    return ThresholdCalibration(tau=float(taus[k]), achieved_tpr=float(cum_tp[k] / npos))
-
-
-def _fold_pixels(fold: list[EvalImage], num_classes: int):
-    scores, truth = [], []
-    for img in fold:
-        keep = img.gt != IGNORE_LABEL
-        scores.append(img.scores[keep])
-        truth.append(img.gt[keep] == num_classes)
-    return np.concatenate(scores), np.concatenate(truth)
+def pool_pixels(images: list[EvalImage], num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, is-outlier) of every non-IGNORE pixel, image after image."""
+    keep = [img.gt != IGNORE_LABEL for img in images]
+    return (np.concatenate([img.scores[m] for img, m in zip(images, keep)]),
+            np.concatenate([img.gt[m] == num_classes for img, m in zip(images, keep)]))
 
 
 def _fold_open_miou(fold: list[EvalImage], num_classes: int, tau: float) -> float:
@@ -237,14 +206,15 @@ def two_fold_open_eval(fold_a: list[EvalImage], fold_b: list[EvalImage],
                        num_classes: int, target_tpr: float = 0.95) -> float:
     """Cross-calibrated open-mIoU, weighted by per-fold image count.
 
-    The anomaly threshold is calibrated on one fold and applied to the
-    other, in both directions; each direction's open-mIoU is then averaged
-    with weights proportional to the number of evaluated images.
+    The anomaly threshold is the tau of `fpr_at_tpr` on one fold, applied
+    to the other, in both directions; each direction's open-mIoU is then
+    averaged with weights proportional to the number of evaluated images.
+    A fold without both anomalous and inlier pixels is degenerate.
     """
     if not fold_a or not fold_b:
         raise ContractViolation("both folds need at least one image")
-    tau_a = calibrate_threshold(*_fold_pixels(fold_a, num_classes), target_tpr).tau
-    tau_b = calibrate_threshold(*_fold_pixels(fold_b, num_classes), target_tpr).tau
+    _, tau_a = fpr_at_tpr(*pool_pixels(fold_a, num_classes), target_tpr)
+    _, tau_b = fpr_at_tpr(*pool_pixels(fold_b, num_classes), target_tpr)
     score_a = _fold_open_miou(fold_a, num_classes, tau_b)
     score_b = _fold_open_miou(fold_b, num_classes, tau_a)
     n_a, n_b = len(fold_a), len(fold_b)
@@ -283,12 +253,9 @@ def range_binned(scores, truth, distance, bin_edges,
     for lo, hi in zip(edges, edges[1:]):
         keep = (distance >= lo) & (distance < hi)
         s, t = scores[keep], truth[keep]
-        if keep.any() and t.any() and not t.all():
-            fpr, _ = fpr_at_tpr(s, t, target_tpr)
-            results.append(BinResult(lo=lo, hi=hi, pixels=int(keep.sum()), status="ok",
-                                     ap=average_precision(s, t), fpr95=fpr))
-        else:
-            results.append(BinResult(lo=lo, hi=hi, pixels=int(keep.sum()),
-                                     status="degenerate", ap=float("nan"),
-                                     fpr95=float("nan")))
+        ok = t.any() and not t.all()
+        results.append(BinResult(
+            lo=lo, hi=hi, pixels=int(keep.sum()), status="ok" if ok else "degenerate",
+            ap=average_precision(s, t) if ok else float("nan"),
+            fpr95=fpr_at_tpr(s, t, target_tpr)[0] if ok else float("nan")))
     return results

@@ -1,9 +1,9 @@
 """Minibatch training loop for the two-head segmentation model.
 
 The loop is deterministic: batch `index` of epoch `epoch` always sees the
-rng stream ``SeedSequence([seed, epoch, index])``, independent of how many
-workers assembled it. Divergence (a non-finite loss or activation) aborts
-with the parameters as of the end of the last fully-finite epoch.
+rng stream ``SeedSequence([seed, epoch, index])``. Divergence (a non-finite
+loss or activation) aborts with the parameters as of the end of the last
+fully-finite epoch.
 """
 
 from __future__ import annotations

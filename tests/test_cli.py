@@ -90,6 +90,16 @@ class TestSynth:
                  for p in sorted(out.rglob("*")) if p.is_file()}
         assert snapshot == rerun
 
+    def test_percent_in_a_value_reruns_from_the_sidecar(self, tmp_path):
+        out = tmp_path / "d%1"
+        run_ok(SYNTH_ARGS + ["--out", out])
+        sidecar = tmp_path / "saved.ini"
+        sidecar.write_bytes((out / "config.resolved.ini").read_bytes())
+        assert f"out = {out}\n" in sidecar.read_text()
+        shutil.rmtree(out)
+        run_ok(["synth", "--config", sidecar])
+        assert (out / "config.resolved.ini").read_bytes() == sidecar.read_bytes()
+
 
 class TestTrain:
     def test_outputs(self, workspace):
@@ -121,6 +131,18 @@ class TestTrain:
                                                     "--resume", workspace["run"] / "checkpoint.dhck",
                                                     "--num-classes", "4"]])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--widths", "99,99"), ("--widths", "6"),
+                                            ("--kernel-size", "5")])
+    def test_resume_architecture_mismatch(self, workspace, tmp_path, flag, value):
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path,
+                                                    "--resume", workspace["run"] / "checkpoint.dhck",
+                                                    flag, value]])
+        assert result.exit_code == 2, result.output
+        assert "differs from configuration" in result.output
+        assert not (tmp_path / "config.resolved.ini").exists()
 
     def test_divergence_saves_the_last_good_epoch_step(self, workspace, tmp_path,
                                                        monkeypatch):
@@ -370,3 +392,34 @@ def test_every_flag_overrides_its_config_file_key(command, key, tmp_path, monkey
                                   f"--{key.name.replace('_', '-')}", KIND_VALUES[key.kind][1]])
     assert isinstance(result.exception, StopBeforeWork), result.output
     assert resolved == {k.name: KIND_VALUES[k.kind][3 if k is key else 2] for k in schema}
+
+
+class TestOutOfRangeLabels:
+    """A `_label.pgm` pixel outside 0..K and 255 is a data error in every reader."""
+
+    @pytest.fixture
+    def bad_data(self, workspace, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace["manifest"].parent, scenes)
+        for stem in ("train_0000", "test_0000"):
+            labels = read_pgm(scenes / f"{stem}_label.pgm").copy()
+            labels[0, 0] = 7  # K = 3
+            write_pgm(scenes / f"{stem}_label.pgm", labels)
+        return scenes / "manifest.csv"
+
+    def assert_data_error(self, args):
+        result = RUNNER.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 3, result.output
+        assert "label 7 outside 0..3" in result.output
+
+    def test_eval(self, workspace, bad_data, tmp_path):
+        self.assert_data_error(["eval", "--data", bad_data, "--scores", workspace["run"] / "scores",
+                                "--out", tmp_path / "m.csv"])
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_train(self, bad_data, tmp_path):
+        self.assert_data_error(TRAIN_ARGS + ["--data", bad_data, "--out", tmp_path / "run"])
+
+    def test_score(self, workspace, bad_data, tmp_path):
+        self.assert_data_error(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
+                                "--data", bad_data, "--out", tmp_path / "scores"])

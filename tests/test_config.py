@@ -56,13 +56,19 @@ class TestResolve:
             resolve("toy", "/nonexistent/run.ini", {"out": "x"})
 
     @pytest.mark.parametrize("text", [b"[toy]\nout = run\xff\n", b"out = run\n",
-                                      b"[toy]\nout = 50%\n"],
-                             ids=["not-utf8", "no-section-header", "bad-interpolation"])
+                                      b"[toy]\nout = a\nout = b\n"],
+                             ids=["not-utf8", "no-section-header", "duplicate-key"])
     def test_unreadable_config_file_rejected(self, tmp_path, text):
         ini = tmp_path / "run.ini"
         ini.write_bytes(text)
         with pytest.raises(ConfigError):
             resolve("toy", str(ini), {})
+
+    @pytest.mark.parametrize("value", ["50%", "d%1", "%(out)s", "%%"])
+    def test_percent_is_literal(self, tmp_path, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[toy]\nout = {value}\n")
+        assert resolve("toy", str(ini), {})["out"] == value
 
     def test_other_sections_are_ignored(self, tmp_path):
         ini = tmp_path / "run.ini"

@@ -24,6 +24,7 @@ from hybridseg.data import (
     quantize_image,
     render_texture,
     save_scenes,
+    split_rows,
 )
 from hybridseg.errors import ContractViolation, DataFormatError
 from hybridseg.labels import IGNORE_LABEL, PixelRole
@@ -310,7 +311,7 @@ class TestSceneStorage:
         assert [r.split for r in rows] == ["train", "train", "val", "test"]
         for row in rows:
             original = splits[row.split][int(row.image.split("_")[-1].split(".")[0])]
-            loaded = load_scene(tmp_path, row)
+            loaded = load_scene(tmp_path, row, 3)
             np.testing.assert_array_equal(loaded.labels, original.labels)
             np.testing.assert_array_equal(loaded.roles, original.roles)
             assert np.abs(loaded.image - original.image).max() <= 0.5 / 255 + 1e-12
@@ -335,7 +336,7 @@ class TestSceneStorage:
         labels[0, 0] = IGNORE_LABEL
         write_pgm(label_path, labels)
         with pytest.raises(DataFormatError):
-            load_scene(tmp_path, row)
+            load_scene(tmp_path, row, 3)
 
     @pytest.mark.parametrize("raster", ["label", "mask"])
     def test_load_rejects_a_raster_of_another_size(self, tmp_path, raster):
@@ -344,4 +345,35 @@ class TestSceneStorage:
         from hybridseg.rasters import write_pgm
         write_pgm(tmp_path / getattr(row, raster), np.zeros((16, 16), np.uint8))
         with pytest.raises(DataFormatError):
-            load_scene(tmp_path, row)
+            load_scene(tmp_path, row, 3)
+
+    @pytest.mark.parametrize("value", [4, 7, 254])
+    def test_load_rejects_a_label_outside_the_open_label_set(self, tmp_path, value):
+        splits = gen_scenes(0, SceneConfig(size=32), {"test": 1})
+        row = read_manifest(save_scenes(tmp_path, splits))[0]
+        from hybridseg.rasters import read_pgm, write_pgm
+        labels = read_pgm(tmp_path / row.label).copy()
+        labels[5, 5] = value
+        write_pgm(tmp_path / row.label, labels)
+        with pytest.raises(DataFormatError, match=f"label {value} outside 0..3"):
+            load_scene(tmp_path, row, 3)
+
+    def test_load_accepts_outlier_and_ignore_labels(self, tmp_path):
+        splits = gen_scenes(0, SceneConfig(size=32), {"test": 1})
+        row = read_manifest(save_scenes(tmp_path, splits))[0]
+        from hybridseg.rasters import read_pgm, write_pgm
+        labels, roles = read_pgm(tmp_path / row.label).copy(), read_pgm(tmp_path / row.mask).copy()
+        labels[0, 0], roles[0, 0] = IGNORE_LABEL, PixelRole.IGNORE
+        write_pgm(tmp_path / row.label, labels)
+        write_pgm(tmp_path / row.mask, roles)
+        loaded = load_scene(tmp_path, row, 3).labels
+        assert loaded[0, 0] == IGNORE_LABEL
+        assert (loaded == 3).any()  # every test scene holds one anomaly
+
+    def test_split_rows(self, tmp_path):
+        splits = gen_scenes(0, SceneConfig(size=32), {"train": 2, "test": 1})
+        manifest = save_scenes(tmp_path, splits)
+        assert [r.image for r in split_rows(manifest, "train")] == ["train_0000.ppm",
+                                                                    "train_0001.ppm"]
+        with pytest.raises(DataFormatError, match="no rows for split 'val'"):
+            split_rows(manifest, "val")

@@ -12,16 +12,15 @@ from hybridseg.metrics import (
     BinResult,
     EvalImage,
     _fold_open_miou,
-    _fold_pixels,
     auroc,
     average_precision,
-    calibrate_threshold,
     closed_confusion,
     closed_miou,
     fpr_at_tpr,
     fuse_open_prediction,
     open_confusion,
     open_miou,
+    pool_pixels,
     range_binned,
     two_fold_open_eval,
 )
@@ -133,8 +132,8 @@ class TestAuroc:
         scores, truth = data
         if not truth.any() or truth.all():
             return
-        assert auroc(scores, truth) == pytest.approx(
-            pairwise_auroc(scores, truth), abs=1e-12)
+        # both sum half-integers exactly and divide once, so they agree bit for bit
+        assert auroc(scores, truth) == pairwise_auroc(scores, truth)
 
 
 MONOTONE_TRANSFORMS = (
@@ -249,6 +248,20 @@ class TestOpenMiou:
         assert np.isnan(per_class[2])
         assert mean == pytest.approx(0.375)
 
+    def test_matches_per_class_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            cm = rng.integers(0, 4, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.5)
+            want = []
+            for c in range(4):
+                union = cm[c, :].sum() + cm[:, c].sum() - cm[c, c]
+                want.append(cm[c, c] / float(union) if union else math.nan)
+            if all(math.isnan(w) for w in want):
+                continue
+            per_class, mean = open_miou(cm)
+            np.testing.assert_array_equal(per_class, want)
+            assert mean == np.nanmean(want)
+
     def test_all_empty_rejected(self):
         cm = np.zeros((3, 3), dtype=int)
         cm[2, 2] = 5  # only outlier pixels
@@ -336,29 +349,31 @@ def _eval_image(rng, k=2, h=4, w=5, anomaly_frac=0.3):
 
 
 class TestCalibrateThreshold:
+    """The two-fold protocol's threshold: the tau that `fpr_at_tpr` returns."""
+
     def test_reaches_target_when_attainable(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=200)
         truth = rng.uniform(size=200) < 0.3
         truth[0] = True
-        cal = calibrate_threshold(scores, truth, target_tpr=0.95)
-        assert cal.achieved_tpr >= 0.95
-        assert cal.tau in scores[truth]  # inclusive threshold sits on a positive
+        _, tau = fpr_at_tpr(scores, truth, target_tpr=0.95)
+        assert (scores[truth] >= tau).mean() >= 0.95
+        assert tau in scores[truth]  # inclusive threshold sits on a positive
 
     def test_zero_target(self):
-        cal = calibrate_threshold([1.0, 0.0], [1, 0], target_tpr=0.0)
-        assert cal.tau == math.inf
+        _, tau = fpr_at_tpr([1.0, 0.0], [1, 0], target_tpr=0.0)
+        assert tau == math.inf
 
     def test_needs_positives(self):
         with pytest.raises(DegenerateScoreSet):
-            calibrate_threshold([1.0, 0.0], [0, 0])
+            fpr_at_tpr([1.0, 0.0], [0, 0])
 
 
 class TestTwoFoldOpenEval:
     def test_identical_folds_match_single_fold(self):
         rng = np.random.default_rng(2)
         fold = [_eval_image(rng) for _ in range(3)]
-        tau = calibrate_threshold(*_fold_pixels(fold, 2)).tau
+        _, tau = fpr_at_tpr(*pool_pixels(fold, 2))
         single = _fold_open_miou(fold, 2, tau)
         assert two_fold_open_eval(fold, list(fold), 2) == pytest.approx(single, abs=1e-12)
 
@@ -366,8 +381,8 @@ class TestTwoFoldOpenEval:
         rng = np.random.default_rng(3)
         fold_a = [_eval_image(rng)]
         fold_b = [_eval_image(rng) for _ in range(3)]
-        tau_a = calibrate_threshold(*_fold_pixels(fold_a, 2)).tau
-        tau_b = calibrate_threshold(*_fold_pixels(fold_b, 2)).tau
+        _, tau_a = fpr_at_tpr(*pool_pixels(fold_a, 2))
+        _, tau_b = fpr_at_tpr(*pool_pixels(fold_b, 2))
         score_a = _fold_open_miou(fold_a, 2, tau_b)
         score_b = _fold_open_miou(fold_b, 2, tau_a)
         expected = 0.25 * score_a + 0.75 * score_b
@@ -379,7 +394,7 @@ class TestTwoFoldOpenEval:
         gt = img.gt.copy()
         gt[0, :] = IGNORE_LABEL
         masked = EvalImage(img.argmax, img.scores, gt)
-        scores, truth = _fold_pixels([masked], 2)
+        scores, truth = pool_pixels([masked], 2)
         assert scores.size == gt.size - gt.shape[1]
         assert truth.sum() == np.count_nonzero(gt == 2)
 
@@ -393,6 +408,13 @@ class TestTwoFoldOpenEval:
         clean = _eval_image(rng, anomaly_frac=0.0)
         with pytest.raises(DegenerateScoreSet):
             two_fold_open_eval([clean], [_eval_image(rng)], 2)
+
+    def test_fold_without_inliers_rejected(self):
+        rng = np.random.default_rng(6)
+        only_anomalies = _eval_image(rng, anomaly_frac=1.0)
+        assert np.all(only_anomalies.gt == 2)
+        with pytest.raises(DegenerateScoreSet):
+            two_fold_open_eval([_eval_image(rng)], [only_anomalies], 2)
 
 
 class TestRangeBinned:
