@@ -10,6 +10,8 @@ The op set is deliberately small: elementwise arithmetic, relu/sigmoid/log,
 clip, stride-1 same-padded convolution, per-channel batch normalization,
 channel log-sum-exp, per-pixel channel gather, and masked means. That is
 enough to express the full training objective of the segmentation model.
+Convolution, which sets the cost of a training step, runs each of its
+passes as one GEMM per image against its im2col matrix.
 """
 
 from __future__ import annotations
@@ -250,30 +252,43 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
     return _make(out_val, (x,), backprop)
 
 
+def _columns(xp_i: np.ndarray, k: int) -> np.ndarray:
+    """im2col of one padded CHW image: the ``(C*k*k, H*W)`` matrix whose
+    column at each output pixel holds the k x k window under it, rows in
+    OIHW weight order (channel, then kernel row, then kernel column)."""
+    c = xp_i.shape[0]
+    win = np.lib.stride_tricks.sliding_window_view(xp_i, (k, k), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, -1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Stride-1 cross-correlation over NCHW input with zero 'same' padding.
 
     Kernels must be square with odd side, so spatial resolution is always
-    preserved. Implemented as one dense contraction per kernel offset.
+    preserved. Each pass (forward, grad-w, grad-x) is one GEMM per image
+    against its im2col matrix. The loop runs per image, not over the whole
+    batch, so only one image's column matrix is alive at a time; the
+    backward closure rebuilds it from the padded input it already holds.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
         raise ContractViolation("conv2d expects NCHW input and OIHW weights")
     n, c, h, wd = xv.shape
-    co, ci, kh, kw = wv.shape
+    co, ci, k, kw = wv.shape
     if ci != c:
         raise ContractViolation(f"channel mismatch: input {c}, weights expect {ci}")
-    if kh != kw or kh % 2 == 0:
+    if k != kw or k % 2 == 0:
         raise ContractViolation("conv2d supports odd square kernels only")
-    p = kh // 2
-    xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
-    out_val = np.zeros((n, co, h, wd))
-    for u in range(kh):
-        for v in range(kw):
-            out_val += np.einsum(
-                "oc,nchw->nohw", wv[:, :, u, v], xp[:, :, u:u + h, v:v + wd],
-                optimize=True,
-            )
+    if b is not None and b.value.shape != (co,):
+        raise ContractViolation(f"bias shape {b.value.shape} != ({co},)")
+    p = k // 2
+    pad = ((0, 0), (p, p), (p, p))
+    xp = np.pad(xv, ((0, 0),) + pad) if p else xv
+    wm = wv.reshape(co, c * k * k)
+    out_val = np.empty((n, co, h * wd))
+    for i in range(n):
+        np.matmul(wm, _columns(xp[i], k), out=out_val[i])
+    out_val = out_val.reshape(n, co, h, wd)
     if b is not None:
         out_val += b.value[None, :, None, None]
 
@@ -281,21 +296,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            gw = np.empty_like(wv)
-            for u in range(kh):
-                for v in range(kw):
-                    gw[:, :, u, v] = np.einsum(
-                        "nohw,nchw->oc", g, xp[:, :, u:u + h, v:v + wd], optimize=True,
-                    )
-            _accumulate(w, gw)
+            gm = g.reshape(n, co, h * wd)
+            gw = np.zeros((co, c * k * k))
+            for i in range(n):
+                gw += gm[i] @ _columns(xp[i], k).T
+            _accumulate(w, gw.reshape(wv.shape))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u:u + h, v:v + wd] += np.einsum(
-                        "oc,nohw->nchw", wv[:, :, u, v], g, optimize=True,
-                    )
-            _accumulate(x, gxp[:, :, p:p + h, p:p + wd] if p else gxp)
+            # grad-x is the same-padded correlation of g with the kernel
+            # flipped in space and its in/out channels swapped
+            wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
+            gx = np.empty((n, c, h * wd))
+            for i in range(n):
+                gp = np.pad(g[i], pad) if p else g[i]
+                np.matmul(wt, _columns(gp, k), out=gx[i])
+            _accumulate(x, gx.reshape(xv.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_val, parents, backprop)

@@ -513,7 +513,8 @@ def split_rows(manifest, split: str) -> list[ManifestRow]:
 
 def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     """Read one row's rasters: all of the image's size, labels in
-    0..num_classes or IGNORE_LABEL, and a class on every inlier pixel."""
+    0..num_classes or IGNORE_LABEL, roles in 0..2, a class below
+    num_classes on every inlier pixel and num_classes on every outlier."""
     root = Path(root)
     image = read_ppm(root / row.image).astype(np.float64).transpose(2, 0, 1) / 255.0
     labels = read_pgm(root / row.label).astype(np.int64)
@@ -528,7 +529,16 @@ def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     if invalid.any():
         raise DataFormatError(f"{row.label}: label {labels[invalid].max()} outside "
                               f"0..{num_classes} and {IGNORE_LABEL}")
-    invalid = (roles == PixelRole.INLIER) & (labels == IGNORE_LABEL)
+    invalid = roles > max(PixelRole)
     if invalid.any():
-        raise DataFormatError(f"{row.image}: inlier pixels without class labels")
+        raise DataFormatError(f"{row.mask}: role {roles[invalid].max()} outside "
+                              f"0..{max(PixelRole):d}")
+    invalid = (roles == PixelRole.INLIER) & (labels >= num_classes)
+    if invalid.any():
+        raise DataFormatError(f"{row.image}: inlier pixels without class labels "
+                              f"(label {labels[invalid].min()})")
+    invalid = (roles == PixelRole.OUTLIER) & (labels != outlier_label(num_classes))
+    if invalid.any():
+        raise DataFormatError(f"{row.image}: outlier pixels labelled {labels[invalid].min()}, "
+                              f"not {outlier_label(num_classes)}")
     return SceneSample(image=image, labels=labels, roles=roles, distance=distance)

@@ -215,10 +215,47 @@ class TestConv2d:
             lambda xx, ww, bb: ad.tsum(ad.mul(ad.conv2d(xx, ww, bb), ad.constant(weight))),
             [x, w, b], rtol=1e-5)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_forward_matches_naive_loops_for_each_kernel_size(self, k, n):
+        rng = np.random.default_rng(20 + k + n)
+        x = rng.normal(size=(n, 2, 5, 7))
+        w = rng.normal(size=(3, 2, k, k))
+        b = rng.normal(size=3)
+        out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b))
+        np.testing.assert_allclose(out.value, naive_conv2d(x, w, b), atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_gradients_for_kernel_size(self, k):
+        rng = np.random.default_rng(30 + k)
+        x = rng.normal(size=(3, 2, 5, 4))
+        w = rng.normal(size=(3, 2, k, k)) * 0.5
+        b = rng.normal(size=3)
+        weight = rng.normal(size=(3, 3, 5, 4))
+        check_op_grad(
+            lambda xx, ww, bb: ad.tsum(ad.mul(ad.conv2d(xx, ww, bb), ad.constant(weight))),
+            [x, w, b], rtol=1e-5)
+
+    def test_batch_member_matches_the_image_alone(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(4, 3, 6, 9))
+        w = ad.constant(rng.normal(size=(5, 3, 3, 3)))
+        b = ad.constant(rng.normal(size=5))
+        batch = ad.conv2d(ad.constant(x), w, b).value
+        for i in range(len(x)):
+            alone = ad.conv2d(ad.constant(x[i:i + 1]), w, b).value
+            np.testing.assert_array_equal(batch[i:i + 1], alone)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ContractViolation):
             ad.conv2d(ad.constant(np.zeros((1, 1, 4, 4))),
                       ad.constant(np.zeros((1, 1, 2, 2))))
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 1)])
+    def test_bias_of_another_length_rejected(self, shape):
+        with pytest.raises(ContractViolation, match="bias shape"):
+            ad.conv2d(ad.constant(np.zeros((1, 2, 4, 4))),
+                      ad.constant(np.zeros((3, 2, 3, 3))), ad.parameter(np.zeros(shape)))
 
 
 class TestBatchNorm:

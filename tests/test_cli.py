@@ -423,3 +423,17 @@ class TestOutOfRangeLabels:
     def test_score(self, workspace, bad_data, tmp_path):
         self.assert_data_error(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
                                 "--data", bad_data, "--out", tmp_path / "scores"])
+
+
+def test_train_rejects_a_role_outside_0_to_2(workspace, tmp_path):
+    """Roles of 7 would leave every pixel out of the classification loss."""
+    scenes = tmp_path / "scenes"
+    shutil.copytree(workspace["manifest"].parent, scenes)
+    for row in read_manifest(scenes / "manifest.csv"):
+        if row.split == "train":
+            write_pgm(scenes / row.mask, np.full_like(read_pgm(scenes / row.mask), 7))
+    result = RUNNER.invoke(main, [str(a) for a in TRAIN_ARGS + [
+        "--data", scenes / "manifest.csv", "--out", tmp_path / "run"]])
+    assert result.exit_code == 3, result.output
+    assert "role 7 outside 0..2" in result.output
+    assert not (tmp_path / "run" / "checkpoint.dhck").exists()

@@ -370,6 +370,35 @@ class TestSceneStorage:
         assert loaded[0, 0] == IGNORE_LABEL
         assert (loaded == 3).any()  # every test scene holds one anomaly
 
+    @staticmethod
+    def _scene_with_pixel(tmp_path, label, role):
+        """A saved test scene whose pixel (5, 5) holds ``label`` and ``role``."""
+        splits = gen_scenes(0, SceneConfig(size=32), {"test": 1})
+        row = read_manifest(save_scenes(tmp_path, splits))[0]
+        from hybridseg.rasters import read_pgm, write_pgm
+        for name, value in (("label", label), ("mask", role)):
+            raster = read_pgm(tmp_path / getattr(row, name)).copy()
+            raster[5, 5] = value
+            write_pgm(tmp_path / getattr(row, name), raster)
+        return row
+
+    @pytest.mark.parametrize("role", [3, 7, 255])
+    def test_load_rejects_a_role_outside_0_to_2(self, tmp_path, role):
+        row = self._scene_with_pixel(tmp_path, IGNORE_LABEL, role)
+        with pytest.raises(DataFormatError, match=f"role {role} outside 0..2"):
+            load_scene(tmp_path, row, 3)
+
+    @pytest.mark.parametrize("label", [0, 2, IGNORE_LABEL])
+    def test_load_rejects_an_outlier_role_without_the_outlier_label(self, tmp_path, label):
+        row = self._scene_with_pixel(tmp_path, label, PixelRole.OUTLIER)
+        with pytest.raises(DataFormatError, match=f"outlier pixels labelled {label}, not 3"):
+            load_scene(tmp_path, row, 3)
+
+    def test_load_rejects_an_inlier_role_with_the_outlier_label(self, tmp_path):
+        row = self._scene_with_pixel(tmp_path, 3, PixelRole.INLIER)
+        with pytest.raises(DataFormatError, match=r"inlier pixels without class labels \(label 3\)"):
+            load_scene(tmp_path, row, 3)
+
     def test_split_rows(self, tmp_path):
         splits = gen_scenes(0, SceneConfig(size=32), {"train": 2, "test": 1})
         manifest = save_scenes(tmp_path, splits)
