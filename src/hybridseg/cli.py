@@ -148,6 +148,11 @@ _command("synth", run_synth, "Generate the toy and scene datasets.")
 
 
 def run_train(cfg: dict) -> None:
+    net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
+                        num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
+                        seed=cfg["seed"])
+    if cfg["batch_size"] < 1:
+        raise ConfigError("batch_size must be >= 1")
     manifest = Path(cfg["data"])
     scenes = [load_scene(manifest.parent, r, cfg["num_classes"])
               for r in split_rows(manifest, "train")]
@@ -158,10 +163,6 @@ def run_train(cfg: dict) -> None:
     patches = gen_negative_patches(cfg["seed"], cfg["patch_count"]) if paste_count else []
     aug = AugmentConfig(crop_size=cfg["crop_size"], paste_count=paste_count,
                         num_classes=cfg["num_classes"])
-
-    net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
-                        num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
-                        seed=cfg["seed"])
     start_step = 0
     if cfg["resume"]:
         params, start_step = load_checkpoint(cfg["resume"])
@@ -389,6 +390,8 @@ def run_toy(cfg: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     widths = cfgmod.parse_int_list(cfg["widths"])
     seeds = cfgmod.parse_int_list(cfg["seeds"])
+    if not seeds:
+        raise ConfigError("toy needs at least one seed")
 
     report_rows = []
     point_rows = []

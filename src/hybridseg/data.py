@@ -236,19 +236,17 @@ class SceneSample:
             raise ContractViolation("labels/roles must match image spatial dims")
 
 
+SCENE_CLASSES = len(INLIER_TEXTURES)
+SHAPES_PER_SCENE = (1, 3)          # inclusive range of inlier shapes
+ANOMALY_AREA = (0.01, 0.25)        # bounds on the anomaly's share of the scene
+NEAR_M, FAR_M = 5.0, 50.0          # distance at the bottom and the top row
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     size: int = 64
-    num_classes: int = 3
-    min_shapes: int = 1
-    max_shapes: int = 3
-    anomaly_area: tuple[float, float] = (0.01, 0.25)
-    near_m: float = 5.0   # distance at the bottom image row
-    far_m: float = 50.0   # distance at the top image row
 
     def __post_init__(self):
-        if self.num_classes != 3:
-            raise ContractViolation("scene benchmark is defined for exactly 3 classes")
         if self.size < 16:
             raise ContractViolation("scene size must be >= 16")
 
@@ -271,10 +269,10 @@ def _shape_support(rng: np.random.Generator, size: int,
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
 
 
-def _distance_ramp(cfg: SceneConfig) -> np.ndarray:
+def _distance_ramp(size: int) -> np.ndarray:
     """Per-row distance in whole meters, far at the top, near at the bottom."""
-    ramp = np.round(np.linspace(cfg.far_m, cfg.near_m, cfg.size))
-    return np.repeat(ramp[:, None], cfg.size, axis=1)
+    ramp = np.round(np.linspace(FAR_M, NEAR_M, size))
+    return np.repeat(ramp[:, None], size, axis=1)
 
 
 def gen_scene(rng: np.random.Generator, cfg: SceneConfig,
@@ -284,14 +282,14 @@ def gen_scene(rng: np.random.Generator, cfg: SceneConfig,
     labels = np.zeros((size, size), dtype=np.int64)
     roles = np.full((size, size), PixelRole.INLIER, dtype=np.uint8)
 
-    for _ in range(int(rng.integers(cfg.min_shapes, cfg.max_shapes + 1))):
-        cls = int(rng.integers(1, cfg.num_classes))
+    for _ in range(int(rng.integers(SHAPES_PER_SCENE[0], SHAPES_PER_SCENE[1] + 1))):
+        cls = int(rng.integers(1, SCENE_CLASSES))
         sup = _shape_support(rng, size, 0.15, 0.45)
         image[:, sup] = render_texture(rng, size, size, TEXTURES[INLIER_TEXTURES[cls]])[:, sup]
         labels[sup] = cls
 
     if with_anomaly:
-        lo, hi = cfg.anomaly_area
+        lo, hi = ANOMALY_AREA
         for _ in range(100):
             sup = _shape_support(rng, size, 0.12, 0.5)
             if lo <= sup.mean() <= hi:
@@ -300,10 +298,10 @@ def gen_scene(rng: np.random.Generator, cfg: SceneConfig,
             raise ContractViolation("could not sample an anomaly within the area bounds")
         spec = _held_out_spec(rng, ANOMALY_CELLS)
         image[:, sup] = render_texture(rng, size, size, spec)[:, sup]
-        labels[sup] = outlier_label(cfg.num_classes)
+        labels[sup] = outlier_label(SCENE_CLASSES)
         roles[sup] = PixelRole.OUTLIER
 
-    distance = _distance_ramp(cfg) if with_anomaly else None
+    distance = _distance_ramp(size) if with_anomaly else None
     return SceneSample(image=image, labels=labels, roles=roles, distance=distance)
 
 
@@ -365,6 +363,9 @@ def gen_negative_patches(seed: int, count: int,
     return patches
 
 
+JITTER_RETRIES = 10  # re-draws of a scale factor too small for the crop
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     scale_jitter_range: tuple[float, float] = (0.5, 2.0)
@@ -372,7 +373,6 @@ class AugmentConfig:
     crop_size: int = 64
     paste_count: int = 2
     num_classes: int = 3  # pasted pixels get label == num_classes
-    max_retries: int = 10
 
     def __post_init__(self):
         lo, hi = self.scale_jitter_range
@@ -427,7 +427,7 @@ def augment(sample: SceneSample, cfg: AugmentConfig,
     """
     h, w = sample.labels.shape
     lo, hi = cfg.scale_jitter_range
-    for _ in range(cfg.max_retries + 1):
+    for _ in range(JITTER_RETRIES + 1):
         factor = rng.uniform(lo, hi)
         new_h, new_w = int(round(h * factor)), int(round(w * factor))
         if new_h >= cfg.crop_size and new_w >= cfg.crop_size:

@@ -2,32 +2,37 @@
 
 The backbone is a stack of same-padded conv / batch-norm / relu stages that
 never changes spatial resolution, so every prediction lives at input
-resolution. Pre-logit features feed three outputs: a 1x1 projection to K
-class logits, and a norm-relu-1x1-sigmoid head estimating the per-pixel
-probability that the pixel is an inlier. Final projections start at zero so
-an untrained model predicts uniform class posteriors and a dataset posterior
-of 0.5 everywhere.
+resolution. The backbone convs have no bias: the batch-norm after each one
+subtracts the channel mean and would cancel it. Pre-logit features feed two
+outputs: a 1x1 projection to K class logits, and a norm-relu-1x1-sigmoid
+head estimating the per-pixel probability that the pixel is an inlier.
+Final projections start at zero so an untrained model predicts uniform
+class posteriors and a dataset posterior of 0.5 everywhere.
 
-Checkpoints are a versioned binary format: magic ``DHCK``, a format version,
-the optimizer step count, the JSON-encoded network config, then every
-parameter array (including batch-norm running statistics) as little-endian
-float64 in declaration order. Round-trips are bit exact.
+Checkpoints (format v2) are magic ``DHCK``, the version, the optimizer step,
+the JSON network config, then the arrays of ``ModelParams.named_arrays`` as
+little-endian float64; round-trips are bit exact. Version 1 files also held
+the batch-norm momentum and eps and a bias per stage; loading folds each
+bias into its stage's running mean, giving the same outputs up to rounding.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation, DataFormatError, NumericFailure
+from .labels import IGNORE_LABEL
 from .scoring import POSTERIOR_EPS
 
 CHECKPOINT_MAGIC = b"DHCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the only values v1 may declare: the autodiff.batch_norm defaults forward uses
+V1_BATCH_NORM = {"bn_momentum": 0.1, "bn_eps": 1e-5}
 
 
 @dataclass(frozen=True)
@@ -37,43 +42,32 @@ class NetworkConfig:
     num_classes: int
     kernel_size: int = 3
     seed: int = 0
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
+        object.__setattr__(self, "widths", tuple(self.widths))
+        ints = (self.input_channels, self.num_classes, self.kernel_size, self.seed,
+                *self.widths)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
+            raise ContractViolation("network config values must be integers")
         if self.input_channels < 1:
             raise ContractViolation("input_channels must be >= 1")
-        if self.num_classes < 2:
-            raise ContractViolation("num_classes must be >= 2")
+        if not 2 <= self.num_classes < IGNORE_LABEL:
+            # the outlier label K must fit a u8 raster below IGNORE_LABEL
+            raise ContractViolation(f"num_classes must be in 2..{IGNORE_LABEL - 1}")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ContractViolation("stage widths must all be >= 1")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ContractViolation("kernel_size must be odd")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
 
     def to_json(self) -> str:
-        d = {
-            "input_channels": self.input_channels,
-            "widths": list(self.widths),
-            "num_classes": self.num_classes,
-            "kernel_size": self.kernel_size,
-            "seed": self.seed,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(s: str) -> "NetworkConfig":
-        d = json.loads(s)
-        d["widths"] = tuple(d["widths"])
-        return NetworkConfig(**d)
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
 class ConvStage:
     w: ad.Tensor
-    b: ad.Tensor
     gamma: ad.Tensor
     beta: ad.Tensor
     run_mean: np.ndarray
@@ -95,32 +89,21 @@ class ModelParams:
     ood_w: ad.Tensor = None
     ood_b: ad.Tensor = None
 
+    def _layout(self) -> list[tuple[str, ad.Tensor | np.ndarray]]:
+        """Every persistent tensor and buffer in declaration order: the
+        stages' fields, then the head fields after ``stages``."""
+        out = [(f"stage{i}.{f.name}", getattr(st, f.name))
+               for i, st in enumerate(self.stages) for f in fields(st)]
+        heads = [f.name for f in fields(self)][2:]
+        return out + [(name.replace("_", ".", 1), getattr(self, name)) for name in heads]
+
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Every persistent array in fixed declaration order (checkpoint layout)."""
-        out = []
-        for i, st in enumerate(self.stages):
-            out += [
-                (f"stage{i}.w", st.w.value), (f"stage{i}.b", st.b.value),
-                (f"stage{i}.gamma", st.gamma.value), (f"stage{i}.beta", st.beta.value),
-                (f"stage{i}.run_mean", st.run_mean), (f"stage{i}.run_var", st.run_var),
-            ]
-        out += [
-            ("cls.w", self.cls_w.value), ("cls.b", self.cls_b.value),
-            ("ood.gamma", self.ood_gamma.value), ("ood.beta", self.ood_beta.value),
-            ("ood.run_mean", self.ood_run_mean), ("ood.run_var", self.ood_run_var),
-            ("ood.w", self.ood_w.value), ("ood.b", self.ood_b.value),
-        ]
-        return out
+        """Every persistent array in checkpoint order."""
+        return [(name, a.value if isinstance(a, ad.Tensor) else a)
+                for name, a in self._layout()]
 
     def trainable(self) -> list[tuple[str, ad.Tensor]]:
-        out = []
-        for i, st in enumerate(self.stages):
-            out += [(f"stage{i}.w", st.w), (f"stage{i}.b", st.b),
-                    (f"stage{i}.gamma", st.gamma), (f"stage{i}.beta", st.beta)]
-        out += [("cls.w", self.cls_w), ("cls.b", self.cls_b),
-                ("ood.gamma", self.ood_gamma), ("ood.beta", self.ood_beta),
-                ("ood.w", self.ood_w), ("ood.b", self.ood_b)]
-        return out
+        return [(name, a) for name, a in self._layout() if isinstance(a, ad.Tensor)]
 
     def zero_grad(self) -> None:
         for _, t in self.trainable():
@@ -145,7 +128,6 @@ def init_params(config: NetworkConfig) -> ModelParams:
         w = rng.uniform(-bound, bound, size=(width, c_in, k, k))
         params.stages.append(ConvStage(
             w=ad.parameter(w),
-            b=ad.parameter(np.zeros(width)),
             gamma=ad.parameter(np.ones(width)),
             beta=ad.parameter(np.zeros(width)),
             run_mean=np.zeros(width),
@@ -174,22 +156,17 @@ class ForwardMaps:
 def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
             training: bool = False) -> ForwardMaps:
     """Run the model; raises NumericFailure if any output is non-finite."""
-    cfg = params.config
     x = image if isinstance(image, ad.Tensor) else ad.constant(image)
-    if x.value.ndim != 4 or x.value.shape[1] != cfg.input_channels:
-        raise ContractViolation(
-            f"expected (N,{cfg.input_channels},H,W) input, got {x.value.shape}")
+    c = params.config.input_channels
+    if x.value.ndim != 4 or x.value.shape[1] != c:
+        raise ContractViolation(f"expected (N,{c},H,W) input, got {x.value.shape}")
     t = x
     for st in params.stages:
-        t = ad.conv2d(t, st.w, st.b)
-        t = ad.batch_norm(t, st.gamma, st.beta, st.run_mean, st.run_var,
-                          training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-        t = ad.relu(t)
+        t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
+                                  st.run_var, training=training))
     logits = ad.conv2d(t, params.cls_w, params.cls_b)
-    h = ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
-                      params.ood_run_var, training=training,
-                      momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-    h = ad.relu(h)
+    h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
+                              params.ood_run_var, training=training))
     din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
                   POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
     for name, v in (("pre-logits", t.value), ("logits", logits.value),
@@ -202,11 +179,8 @@ def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
 def save_checkpoint(path, params: ModelParams, step: int = 0) -> None:
     cfg_blob = params.config.to_json().encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
+        f.write(CHECKPOINT_MAGIC + struct.pack("<IQI", CHECKPOINT_VERSION, step, len(cfg_blob))
+                + cfg_blob)
         for _, arr in params.named_arrays():
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -218,24 +192,44 @@ def _read_exact(f, size: int, path, what: str) -> bytes:
     return raw
 
 
+def _read_config(blob: bytes, version: int, path) -> NetworkConfig:
+    try:
+        d = json.loads(blob.decode("utf-8"))
+        if not isinstance(d, dict):
+            raise TypeError("config is not a JSON object")
+        if version == 1:
+            declared = {k: d.pop(k, v) for k, v in V1_BATCH_NORM.items()}
+            if declared != V1_BATCH_NORM:
+                raise ValueError(f"batch-norm settings {declared} != {V1_BATCH_NORM}")
+        return NetworkConfig(**d)
+    except (ValueError, TypeError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint config: {exc!r}") from exc
+
+
+def _read_array(f, shape, path, name: str) -> np.ndarray:
+    raw = _read_exact(f, int(np.prod(shape)) * 8, path, name)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[ModelParams, int]:
+    """Read a v2 checkpoint, or a v1 one with its stage biases folded away."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad checkpoint magic")
         version, = struct.unpack("<I", _read_exact(f, 4, path, "version"))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         step, = struct.unpack("<Q", _read_exact(f, 8, path, "step"))
         cfg_len, = struct.unpack("<I", _read_exact(f, 4, path, "config length"))
-        cfg_blob = _read_exact(f, cfg_len, path, "config")
-        try:
-            config = NetworkConfig.from_json(cfg_blob.decode("utf-8"))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: malformed checkpoint config: {exc!r}") from exc
-        params = init_params(config)
+        params = init_params(_read_config(_read_exact(f, cfg_len, path, "config"),
+                                          version, path))
+        biases = []
         for name, arr in params.named_arrays():
-            raw = _read_exact(f, arr.size * 8, path, name)
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+            arr[...] = _read_array(f, arr.shape, path, name)
+            if version == 1 and name.startswith("stage") and name.endswith(".w"):
+                biases.append(_read_array(f, arr.shape[:1], path, name[:-1] + "b"))
         if f.read(1):
             raise DataFormatError(f"{path}: trailing bytes after parameters")
+    for st, b in zip(params.stages, biases):
+        st.run_mean -= b  # batch-norm subtracts the bias with the mean
     return params, step

@@ -13,6 +13,8 @@ from .errors import ContractViolation
 
 log = logging.getLogger(__name__)
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -45,13 +47,9 @@ class Adam:
     counter still advances so the schedule keeps moving.
     """
 
-    def __init__(self, params: list[ad.Tensor], schedule: LrSchedule,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[ad.Tensor], schedule: LrSchedule):
         self.params = list(params)
         self.schedule = schedule
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.skipped = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
@@ -67,14 +65,14 @@ class Adam:
             log.warning("optimizer step %d skipped: non-finite gradient", self.step_count)
             return lr
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         return lr
 
     def zero_grad(self) -> None:

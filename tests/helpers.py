@@ -1,10 +1,14 @@
-"""Shared test oracles: finite differences and brute-force ranking metrics.
+"""Shared test oracles: finite differences, brute-force ranking metrics and a
+version-1 checkpoint writer.
 
 Everything here is deliberately independent of the library's own code paths:
 plain loops, direct definitions, no reuse of the functions under test.
 """
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 
@@ -83,3 +87,26 @@ def sweep_fpr_at_tpr(scores, truth, target=0.95):
             break
     fpr = (scores[~truth] >= best_tau).sum() / n_neg
     return fpr, best_tau
+
+
+def write_v1_checkpoint(path, params, stage_biases, step=0, bn_momentum=0.1, bn_eps=1e-5):
+    """Write `params` as a version-1 ``.dhck`` file, byte by byte.
+
+    Version 1 stored a conv bias per backbone stage (``stage_biases``, after
+    that stage's weights) and the batch-norm momentum and eps in the config.
+    """
+    cfg = params.config
+    blob = json.dumps({"input_channels": cfg.input_channels, "widths": list(cfg.widths),
+                       "num_classes": cfg.num_classes, "kernel_size": cfg.kernel_size,
+                       "seed": cfg.seed, "bn_momentum": bn_momentum, "bn_eps": bn_eps},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    arrays = []
+    for st, b in zip(params.stages, stage_biases):
+        arrays += [st.w.value, b, st.gamma.value, st.beta.value, st.run_mean, st.run_var]
+    arrays += [params.cls_w.value, params.cls_b.value, params.ood_gamma.value,
+               params.ood_beta.value, params.ood_run_mean, params.ood_run_var,
+               params.ood_w.value, params.ood_b.value]
+    with open(path, "wb") as f:
+        f.write(b"DHCK" + struct.pack("<IQI", 1, step, len(blob)) + blob)
+        for a in arrays:
+            f.write(np.asarray(a, dtype="<f8").tobytes())

@@ -1,14 +1,23 @@
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import write_v1_checkpoint
 from hybridseg import cli
 from hybridseg import config as cfgmod
 from hybridseg.cli import main
-from hybridseg.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
+from hybridseg.network import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    NetworkConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from hybridseg.rasters import (
     read_manifest,
     read_pgm,
@@ -124,6 +133,17 @@ class TestTrain:
         _, step = load_checkpoint(tmp_path / "checkpoint.dhck")
         assert step == 8
 
+    def test_resume_from_a_v1_checkpoint_writes_v2(self, workspace, tmp_path):
+        params, step = load_checkpoint(workspace["run"] / "checkpoint.dhck")
+        v1 = tmp_path / "v1.dhck"
+        write_v1_checkpoint(v1, params, [np.full(w, 0.5) for w in params.config.widths],
+                            step=step)
+        run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path / "run",
+                             "--resume", v1])
+        out = tmp_path / "run" / "checkpoint.dhck"
+        assert out.read_bytes()[4:8] == struct.pack("<I", CHECKPOINT_VERSION)
+        assert load_checkpoint(out)[1] == 8
+
     def test_resume_class_count_mismatch(self, workspace, tmp_path):
         result = RUNNER.invoke(main, [str(a) for a in
                                       TRAIN_ARGS + ["--data", workspace["manifest"],
@@ -174,6 +194,17 @@ class TestTrain:
             _, _, _, posterior_out, likelihood_out, _ = line.split(",")
             assert float(posterior_out) == 0.0
             assert float(likelihood_out) == 0.0
+
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-1"),
+                                            ("--seed", "-1"), ("--num-classes", "300"),
+                                            ("--widths", "")])
+    def test_bad_value_is_a_config_error(self, workspace, tmp_path, flag, value):
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path, flag, value]])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert not (tmp_path / "checkpoint.dhck").exists()
 
     def test_flags_override_config_file(self, workspace, tmp_path):
         ini = tmp_path / "run.ini"
@@ -247,6 +278,22 @@ class TestScore:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "data error" in result.output
+
+    @pytest.mark.parametrize("field,value", [("seed", "-1"), ("kernel_size", "3.0"),
+                                             ("num_classes", "300")])
+    def test_checkpoint_with_a_bad_config_is_a_data_error(self, workspace, tmp_path,
+                                                          field, value):
+        cfg = NetworkConfig(input_channels=3, widths=(6, 8), num_classes=3)
+        blob = cfg.to_json().replace(f'"{field}":{getattr(cfg, field)}',
+                                     f'"{field}":{value}').encode()
+        bad = tmp_path / "bad.dhck"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQI", CHECKPOINT_VERSION, 0, len(blob))
+                        + blob)
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "malformed checkpoint config" in result.output
 
     def test_non_finite_checkpoint_is_a_numeric_failure(self, workspace, tmp_path):
         params = init_params(NetworkConfig(input_channels=3, widths=(6, 8), num_classes=3))
@@ -360,6 +407,12 @@ class TestToy:
             _, _, auroc_s, ap_s, unseen_s = line.split(",")
             for value in (auroc_s, ap_s, unseen_s):
                 assert 0.0 <= float(value) <= 1.0
+
+
+    def test_no_seeds_is_a_config_error(self, tmp_path):
+        result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", ""])
+        assert result.exit_code == 2, result.output
+        assert "at least one seed" in result.output
 
 
 # per key kind: INI text, flag text, and the values they parse to

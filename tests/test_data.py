@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from hybridseg.data import (
+    ANOMALY_AREA,
     ANOMALY_CELLS,
     AugmentConfig,
+    FAR_M,
     HELD_OUT_COLOR_RANGE,
     INLIER_TEXTURES,
+    NEAR_M,
     NEGATIVE_CELLS,
     SceneConfig,
     SceneSample,
@@ -137,14 +140,14 @@ class TestScenes:
         for i in range(5):
             s = gen_scene(np.random.default_rng(i), self.CFG, with_anomaly=True)
             frac = (s.roles == PixelRole.OUTLIER).mean()
-            assert self.CFG.anomaly_area[0] <= frac <= self.CFG.anomaly_area[1]
+            assert ANOMALY_AREA[0] <= frac <= ANOMALY_AREA[1]
             np.testing.assert_array_equal(s.roles == PixelRole.OUTLIER, s.labels == 3)
 
     def test_distance_ramp(self):
         s = gen_scene(np.random.default_rng(0), self.CFG, with_anomaly=True)
         assert s.distance.shape == s.labels.shape
-        assert s.distance[0, 0] == self.CFG.far_m      # top row is far
-        assert s.distance[-1, 0] == self.CFG.near_m    # bottom row is near
+        assert s.distance[0, 0] == FAR_M      # top row is far
+        assert s.distance[-1, 0] == NEAR_M    # bottom row is near
         assert np.all(np.diff(s.distance[:, 0]) <= 0)
         np.testing.assert_array_equal(s.distance, np.round(s.distance))
 
@@ -161,8 +164,6 @@ class TestScenes:
                 assert (s.roles == PixelRole.OUTLIER).any() == anomalous
 
     def test_scene_config_validation(self):
-        with pytest.raises(ContractViolation):
-            SceneConfig(num_classes=4)
         with pytest.raises(ContractViolation):
             SceneConfig(size=8)
 
@@ -266,7 +267,7 @@ class TestAugment:
     def test_undersized_jitter_falls_back_to_reflect_padding(self):
         scene = _train_scene(size=16)
         cfg = AugmentConfig(scale_jitter_range=(0.5, 0.6), hflip_prob=0.0,
-                            crop_size=16, paste_count=0, max_retries=3)
+                            crop_size=16, paste_count=0)
         out = augment(scene, cfg, np.random.default_rng(0))
         assert out.labels.shape == (16, 16)
         assert set(np.unique(out.labels)) <= {0, 1, 2}

@@ -1,9 +1,14 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from helpers import write_v1_checkpoint
+from hybridseg import autodiff as ad
+from hybridseg import inference
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
+from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.network import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -14,6 +19,7 @@ from hybridseg.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from hybridseg.scoring import POSTERIOR_EPS
 
 CFG = NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4, seed=11)
 
@@ -34,7 +40,7 @@ class TestConfig:
             NetworkConfig(input_channels=0, widths=(8,), num_classes=3)
 
     def test_json_round_trip(self):
-        assert NetworkConfig.from_json(CFG.to_json()) == CFG
+        assert NetworkConfig(**json.loads(CFG.to_json())) == CFG
 
 
 class TestForward:
@@ -164,11 +170,110 @@ class TestCheckpoint:
         b"[3, 8]",
         CFG.to_json().replace('"num_classes":4', '"num_classes":1').encode(),
         CFG.to_json().replace('"input_channels":3', '"input_channels":0').encode(),
+        CFG.to_json().replace('"input_channels":3', '"input_channels":true').encode(),
+        CFG.to_json().replace('"num_classes":4', '"num_classes":4.5').encode(),
+        CFG.to_json().replace('"num_classes":4', '"num_classes":"4"').encode(),
+        CFG.to_json().replace('"num_classes":4', '"num_classes":255').encode(),
+        CFG.to_json().replace('"num_classes":4', '"num_classes":300').encode(),
+        CFG.to_json().replace('"kernel_size":3', '"kernel_size":3.0').encode(),
+        CFG.to_json().replace('"kernel_size":3', '"kernel_size":true').encode(),
+        CFG.to_json().replace('"widths":[8,12]', '"widths":[8,12.0]').encode(),
+        CFG.to_json().replace('"widths":[8,12]', '"widths":[true,12]').encode(),
+        CFG.to_json().replace('"widths":[8,12]', '"widths":8').encode(),
+        CFG.to_json().replace('"seed":11', '"seed":-1').encode(),
+        CFG.to_json().replace('"seed":11', '"seed":1.5').encode(),
+        CFG.to_json().replace('"seed":11', '"seed":false').encode(),
+        CFG.to_json().replace("}", ',"bn_eps":1e-05}').encode(),
     ], ids=["not-json", "not-utf8", "missing-keys", "not-an-object", "invalid-config",
-            "zero-input-channels"])
+            "zero-input-channels", "bool-input-channels", "float-num-classes",
+            "string-num-classes", "num-classes-255", "num-classes-300", "float-kernel-size",
+            "bool-kernel-size", "float-width", "bool-width", "widths-not-a-list",
+            "negative-seed", "float-seed", "bool-seed", "v1-key-in-v2"])
     def test_malformed_config_block_rejected(self, tmp_path, blob):
         p = tmp_path / "c.dhck"
         p.write_bytes(CHECKPOINT_MAGIC
                       + struct.pack("<IQI", CHECKPOINT_VERSION, 0, len(blob)) + blob)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="malformed checkpoint config"):
             load_checkpoint(p)
+
+    def test_v2_layout(self, tmp_path):
+        params = init_params(CFG)
+        names = [name for name, _ in params.named_arrays()]
+        assert names == [f"stage{i}.{f}" for i in range(2)
+                         for f in ("w", "gamma", "beta", "run_mean", "run_var")] + [
+            "cls.w", "cls.b", "ood.gamma", "ood.beta", "ood.run_mean", "ood.run_var",
+            "ood.w", "ood.b"]
+        assert [name for name, _ in params.trainable()] == [
+            name for name in names if ".run_" not in name]
+        save_checkpoint(tmp_path / "m.dhck", params, step=7)
+        data = (tmp_path / "m.dhck").read_bytes()
+        blob = b'{"input_channels":3,"kernel_size":3,"num_classes":4,"seed":11,"widths":[8,12]}'
+        assert data[:20 + len(blob)] == (CHECKPOINT_MAGIC
+                                         + struct.pack("<IQI", 2, 7, len(blob)) + blob)
+        values = (8 * 3 * 9 + 4 * 8) + (12 * 8 * 9 + 4 * 12) + (4 * 12 + 4) + (4 * 12 + 12 + 1)
+        assert len(data) == 20 + len(blob) + 8 * values
+
+
+def v1_forward(params, stage_biases, image):
+    """Eval-mode forward of a version-1 model, whose backbone convs add a bias."""
+    t = ad.constant(image)
+    for st, b in zip(params.stages, stage_biases):
+        t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w, ad.constant(b)), st.gamma, st.beta,
+                                  st.run_mean, st.run_var, training=False,
+                                  momentum=0.1, eps=1e-5))
+    h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
+                              params.ood_run_var, training=False, momentum=0.1, eps=1e-5))
+    din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
+                  POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
+    return ForwardMaps(logits=ad.conv2d(t, params.cls_w, params.cls_b), dataset_posterior=din)
+
+
+def v1_model(seed=0):
+    """A model with random heads and running statistics, and a non-zero bias
+    per stage that its running means have tracked as version 1 trained it."""
+    rng = np.random.default_rng(seed)
+    params = init_params(CFG)
+    forward(params, rand_image((4, 3, 8, 8), seed=seed), training=True)
+    for t in (params.cls_w, params.ood_w):
+        t.value[...] = rng.normal(size=t.value.shape)
+    biases = [rng.normal(size=w) for w in CFG.widths]
+    for st, b in zip(params.stages, biases):
+        st.run_mean += b
+    return params, biases
+
+
+class TestVersion1Checkpoint:
+    def test_loads_and_scores_like_the_v1_model(self, tmp_path, monkeypatch):
+        v1, biases = v1_model()
+        write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases, step=42)
+        loaded, step = load_checkpoint(tmp_path / "v1.dhck")
+        assert step == 42
+        assert loaded.config == CFG
+        for st, st1, b in zip(loaded.stages, v1.stages, biases):
+            np.testing.assert_array_equal(st.run_mean, st1.run_mean - b)
+        image = rand_image((3, 9, 7), seed=1)
+        got = score_image(loaded, image)
+        monkeypatch.setattr(inference, "forward",
+                            lambda p, x, training: v1_forward(p, biases, x))
+        want = score_image(v1, image)
+        np.testing.assert_array_equal(got.argmax, want.argmax)
+        assert len(np.unique(want.argmax)) > 1
+        for v in SCORE_VARIANTS:
+            np.testing.assert_allclose(got.variant(v), want.variant(v), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("momentum,eps", [(0.1, 1e-3), (0.2, 1e-5), (0.1, 0.0)])
+    def test_other_batch_norm_settings_rejected(self, tmp_path, momentum, eps):
+        v1, biases = v1_model()
+        write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases, bn_momentum=momentum,
+                            bn_eps=eps)
+        with pytest.raises(DataFormatError, match="batch-norm"):
+            load_checkpoint(tmp_path / "v1.dhck")
+
+    def test_truncated_bias_rejected(self, tmp_path):
+        v1, biases = v1_model()
+        write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases)
+        header = 20 + struct.unpack("<I", (tmp_path / "v1.dhck").read_bytes()[16:20])[0]
+        data = (tmp_path / "v1.dhck").read_bytes()
+        (tmp_path / "v1.dhck").write_bytes(data[:header + 8 * (8 * 3 * 9 + 3)])
+        with pytest.raises(DataFormatError, match="stage0.b"):
+            load_checkpoint(tmp_path / "v1.dhck")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_v1_checkpoint
 from hybridseg.errors import DataFormatError
 from hybridseg.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from hybridseg.rasters import (
@@ -23,7 +24,7 @@ from hybridseg.rasters import (
 )
 
 READERS = {"ppm": read_ppm, "pgm": read_pgm, "dhsc": read_score_raster,
-           "csv": read_manifest, "dhck": load_checkpoint}
+           "csv": read_manifest, "dhck": load_checkpoint, "v1.dhck": load_checkpoint}
 
 
 @pytest.fixture(scope="module")
@@ -36,19 +37,21 @@ def samples(tmp_path_factory):
     write_score_raster(d / "s.dhsc", rng.standard_normal((3, 2)))
     write_manifest(d / "s.csv", [ManifestRow("train", "a.ppm", "a.pgm", "a_mask.pgm"),
                                  ManifestRow("test", "b.ppm", "b.pgm", "b_mask.pgm")])
-    save_checkpoint(d / "s.dhck", init_params(NetworkConfig(
-        input_channels=1, widths=(2,), num_classes=2, kernel_size=1)), step=3)
+    params = init_params(NetworkConfig(input_channels=1, widths=(2,), num_classes=2,
+                                       kernel_size=1))
+    save_checkpoint(d / "s.dhck", params, step=3)
+    write_v1_checkpoint(d / "s.v1.dhck", params, [np.array([0.5, -0.25])], step=3)
     return d, {fmt: (d / f"s.{fmt}").read_bytes() for fmt in READERS}
 
 
 def header_length(fmt: str, data: bytes) -> int:
     """Bytes before the payload: the netpbm header, the DHSC header, the
-    DHCK header plus its JSON config block, or the whole manifest."""
+    DHCK header (v1 or v2) plus its JSON config block, or the whole manifest."""
     if fmt in ("ppm", "pgm"):
         return data.index(b"255\n") + 4
     if fmt == "dhsc":
         return 16
-    if fmt == "dhck":
+    if fmt.endswith("dhck"):
         return 20 + struct.unpack("<I", data[16:20])[0]
     return len(data)
 
