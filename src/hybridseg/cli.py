@@ -50,10 +50,10 @@ from .metrics import (
     average_precision,
     closed_confusion,
     closed_miou,
-    fpr_at_tpr,
     fuse_open_prediction,
     pool_pixels,
     range_binned,
+    rank,
     two_fold_open_eval,
 )
 from .network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
@@ -127,8 +127,7 @@ def run_synth(cfg: dict) -> None:
                                                   pts.roles, pts.unseen)]
         _write_csv(toy_dir / f"{name}.csv", ("x", "y", "class_label", "role", "unseen"), rows)
 
-    counts = {"train": cfg["train_count"], "val": cfg["val_count"],
-              "test": cfg["test_count"]}
+    counts = {split: cfg[f"{split}_count"] for split in ("train", "val", "test")}
     splits = gen_scenes(cfg["seed"], SceneConfig(size=cfg["scene_size"]), counts)
     save_scenes(out / "scenes", splits)
     cfgmod.write_sidecar(out, "synth", cfg)
@@ -151,8 +150,8 @@ def run_train(cfg: dict) -> None:
     net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
                         num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
                         seed=cfg["seed"])
-    if cfg["batch_size"] < 1:
-        raise ConfigError("batch_size must be >= 1")
+    if cfg["beta"] > 0 and min(cfg["paste_count"], cfg["patch_count"]) < 1:
+        raise ConfigError("beta > 0 needs paste_count and patch_count >= 1")
     manifest = Path(cfg["data"])
     scenes = [load_scene(manifest.parent, r, cfg["num_classes"])
               for r in split_rows(manifest, "train")]
@@ -259,11 +258,21 @@ _command("score", run_score,
 # eval
 
 
-def _metric_row(split, metric, bin_name, compute):
+def _metric_row(split, metric, compute):
+    """One unbinned `metrics.csv` row; a metric that cannot be computed says why."""
     try:
-        return (split, metric, bin_name, repr(float(compute())), "ok")
+        return (split, metric, "", repr(float(compute())), "ok")
     except (DegenerateScoreSet, ContractViolation) as exc:
-        return (split, metric, bin_name, "nan", f"error: {exc}")
+        return (split, metric, "", "nan", f"error: {exc}")
+
+
+def _pooled_rows(split, v, scores, truth, target_tpr):
+    """The ap, auroc and fpr95 rows of variant `v`, read from one ranking made
+    on first use, so a set that cannot be ranked gives each row its error."""
+    ranking = functools.cache(lambda: rank(scores, truth))
+    return [_metric_row(split, f"ap/{v}", lambda: ranking().average_precision()),
+            _metric_row(split, f"auroc/{v}", lambda: ranking().auroc()),
+            _metric_row(split, f"fpr95/{v}", lambda: ranking().fpr_at_tpr(target_tpr)[0])]
 
 
 def _read_shaped(reader, path, shape) -> np.ndarray:
@@ -301,25 +310,18 @@ def run_eval(cfg: dict) -> None:
 
     out_rows = []
     cm = sum(closed_confusion(am, gt, k) for am, gt in zip(argmaxes, gts))
-    out_rows.append(_metric_row(split, "closed_miou", "", lambda: closed_miou(cm)))
+    out_rows.append(_metric_row(split, "closed_miou", lambda: closed_miou(cm)))
 
     for v in variants:
         images = [EvalImage(argmax=am, scores=s, gt=gt)
                   for am, s, gt in zip(argmaxes, score_maps[v], gts)]
         pooled, truth = pool_pixels(images, k)
-        out_rows.append(_metric_row(split, f"ap/{v}", "",
-                                    lambda: average_precision(pooled, truth)))
-        out_rows.append(_metric_row(split, f"auroc/{v}", "", lambda: auroc(pooled, truth)))
-        out_rows.append(_metric_row(
-            split, f"fpr95/{v}", "",
-            lambda: fpr_at_tpr(pooled, truth, cfg["target_tpr"])[0]))
+        out_rows += _pooled_rows(split, v, pooled, truth, cfg["target_tpr"])
 
         if cfg["two_fold"]:
             half = max(1, len(images) // 2)
-            out_rows.append(_metric_row(
-                split, f"open_miou/{v}", "",
-                lambda: two_fold_open_eval(images[:half], images[half:], k,
-                                           cfg["target_tpr"])))
+            out_rows.append(_metric_row(split, f"open_miou/{v}", lambda: two_fold_open_eval(
+                images[:half], images[half:], k, cfg["target_tpr"])))
 
         if cfg["bins"] and all(d is not None for d in dists):
             distance = np.concatenate([d[gt != IGNORE_LABEL] for d, gt in zip(dists, gts)])
@@ -390,8 +392,8 @@ def run_toy(cfg: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     widths = cfgmod.parse_int_list(cfg["widths"])
     seeds = cfgmod.parse_int_list(cfg["seeds"])
-    if not seeds:
-        raise ConfigError("toy needs at least one seed")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError("toy needs at least one seed, and no negative one")
 
     report_rows = []
     point_rows = []

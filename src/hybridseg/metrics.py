@@ -2,8 +2,11 @@
 
 Scores follow the convention "higher = more anomalous" throughout. Every
 ranking metric (AP, AUROC, and FPR with its threshold at a target TPR) is
-computed from `_threshold_groups`, so tied scores are handled identically
-no matter the input order, and every metric is invariant under strictly
+a method of the `Ranking` that `rank` builds with one sort, so several
+metrics of one pixel set share it. A `Ranking` keeps only the counts at
+the end of each run of tied scores, which no order within the run
+changes: the sort need not be stable, ties are handled identically no
+matter the input order, and every metric is invariant under strictly
 increasing transforms of the scores. The two-fold protocol calibrates its
 threshold with `fpr_at_tpr`, and both confusion matrices come from
 `open_confusion`.
@@ -24,80 +27,75 @@ from .labels import IGNORE_LABEL
 
 def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float).ravel()
-    truth = np.asarray(truth).ravel().astype(bool)
+    truth = np.asarray(truth).ravel().astype(bool, copy=False)
     if scores.shape != truth.shape or scores.size == 0:
         raise ContractViolation("scores and truth must be equal-length and nonempty")
     return scores, truth
 
 
-def _threshold_groups(scores, truth):
-    """Cumulative (tp, fp) after each distinct score, descending.
+@dataclass(frozen=True)
+class Ranking:
+    """Positives and negatives scoring >= each distinct score `taus`, descending."""
 
-    Returns (unique descending scores, tp at each group end, fp at each
-    group end, total positives, total negatives).
-    """
-    order = np.argsort(-scores, kind="stable")
+    taus: np.ndarray
+    cum_tp: np.ndarray
+    cum_fp: np.ndarray
+    npos: int
+    nneg: int
+
+    def average_precision(self) -> float:
+        """Non-interpolated AP: the mean over positives of the precision
+        once each one's whole threshold group is admitted."""
+        if not self.npos:
+            raise DegenerateScoreSet("average precision needs at least one positive")
+        tp_in_group = np.diff(self.cum_tp, prepend=0)
+        precision = self.cum_tp / (self.cum_tp + self.cum_fp)
+        return float((tp_in_group * precision).sum() / self.npos)
+
+    def auroc(self) -> float:
+        """Probability that a random positive outscores a random negative; pairs
+        tied within a group count one half, so the numerator is exact."""
+        if not self.npos or not self.nneg:
+            raise DegenerateScoreSet("AUROC needs both positives and negatives")
+        tp = np.diff(self.cum_tp, prepend=0)
+        fp = np.diff(self.cum_fp, prepend=0)
+        wins = ((self.nneg - self.cum_fp) * tp + 0.5 * tp * fp).sum()
+        return float(wins / (self.npos * self.nneg))
+
+    def fpr_at_tpr(self, target_tpr: float = 0.95) -> tuple[float, float]:
+        """(FPR, tau) at the largest tau whose TPR (score >= tau) reaches
+        `target_tpr`; a target of zero admits nothing, so tau is inf."""
+        if not self.npos or not self.nneg:
+            raise DegenerateScoreSet("FPR/TPR need both positives and negatives")
+        if target_tpr <= 0.0:
+            return 0.0, float("inf")
+        (reached,) = np.nonzero(self.cum_tp / self.npos >= target_tpr)
+        if not reached.size:  # a target above 1, or NaN
+            raise DegenerateScoreSet(f"TPR {target_tpr} not attainable")
+        return float(self.cum_fp[reached[0]] / self.nneg), float(self.taus[reached[0]])
+
+
+def rank(scores, truth) -> Ranking:
+    """The `Ranking` of `scores` against `truth`, from one unstable sort."""
+    scores, truth = _validated(scores, truth)
+    order = np.argsort(-scores)
     s = scores[order]
-    t = truth[order]
-    # group boundaries: last index of each run of equal scores
-    last = np.nonzero(np.diff(s))[0]
-    ends = np.append(last, s.size - 1)
-    cum_tp = np.cumsum(t)[ends]
+    ends = np.append(np.nonzero(s[1:] != s[:-1])[0], s.size - 1)
+    cum_tp = np.cumsum(truth[order])[ends]
     npos = int(cum_tp[-1])
-    return s[ends], cum_tp, ends + 1 - cum_tp, npos, truth.size - npos
+    return Ranking(s[ends], cum_tp, ends + 1 - cum_tp, npos, truth.size - npos)
 
 
 def average_precision(scores, truth) -> float:
-    """Non-interpolated AP with tie grouping.
-
-    Every positive contributes the precision of its own threshold group (the
-    precision once the whole group is admitted), and AP is the mean over
-    positives.
-    """
-    scores, truth = _validated(scores, truth)
-    if not truth.any():
-        raise DegenerateScoreSet("average precision needs at least one positive")
-    _, cum_tp, cum_fp, npos, _ = _threshold_groups(scores, truth)
-    tp_in_group = np.diff(cum_tp, prepend=0)
-    precision = cum_tp / (cum_tp + cum_fp)
-    return float((tp_in_group * precision).sum() / npos)
-
-
-def fpr_at_tpr(scores, truth, target_tpr: float = 0.95) -> tuple[float, float]:
-    """(FPR, tau) at the largest threshold whose TPR reaches `target_tpr`.
-
-    The threshold is inclusive (predicted anomalous iff score >= tau). A
-    target of zero is satisfied without admitting anything, so tau sits
-    above every score.
-    """
-    scores, truth = _validated(scores, truth)
-    if not truth.any() or truth.all():
-        raise DegenerateScoreSet("FPR/TPR need both positives and negatives")
-    if target_tpr <= 0.0:
-        return 0.0, float("inf")
-    taus, cum_tp, cum_fp, npos, nneg = _threshold_groups(scores, truth)
-    reached = np.nonzero(cum_tp / npos >= target_tpr)[0]
-    if reached.size == 0:  # unreachable for target <= 1 but kept for safety
-        raise DegenerateScoreSet(f"TPR {target_tpr} not attainable")
-    k = reached[0]
-    return float(cum_fp[k] / nneg), float(taus[k])
+    return rank(scores, truth).average_precision()
 
 
 def auroc(scores, truth) -> float:
-    """Probability that a random positive outscores a random negative.
+    return rank(scores, truth).auroc()
 
-    Each group's positives beat every negative below the group; pairs tied
-    within a group count one half. The numerator is a sum of half-integers,
-    so it is exact.
-    """
-    scores, truth = _validated(scores, truth)
-    if not truth.any() or truth.all():
-        raise DegenerateScoreSet("AUROC needs both positives and negatives")
-    _, cum_tp, cum_fp, npos, nneg = _threshold_groups(scores, truth)
-    tp = np.diff(cum_tp, prepend=0)
-    fp = np.diff(cum_fp, prepend=0)
-    wins = ((nneg - cum_fp) * tp + 0.5 * tp * fp).sum()
-    return float(wins / (npos * nneg))
+
+def fpr_at_tpr(scores, truth, target_tpr: float = 0.95) -> tuple[float, float]:
+    return rank(scores, truth).fpr_at_tpr(target_tpr)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +250,11 @@ def range_binned(scores, truth, distance, bin_edges,
     results = []
     for lo, hi in zip(edges, edges[1:]):
         keep = (distance >= lo) & (distance < hi)
-        s, t = scores[keep], truth[keep]
-        ok = t.any() and not t.all()
-        results.append(BinResult(
-            lo=lo, hi=hi, pixels=int(keep.sum()), status="ok" if ok else "degenerate",
-            ap=average_precision(s, t) if ok else float("nan"),
-            fpr95=fpr_at_tpr(s, t, target_tpr)[0] if ok else float("nan")))
+        t = truth[keep]
+        if t.any() and not t.all():
+            r = rank(scores[keep], t)
+            ap, fpr95, status = r.average_precision(), r.fpr_at_tpr(target_tpr)[0], "ok"
+        else:
+            ap, fpr95, status = float("nan"), float("nan"), "degenerate"
+        results.append(BinResult(lo, hi, int(keep.sum()), status, ap, fpr95))
     return results

@@ -1,5 +1,5 @@
-"""Shared test oracles: finite differences, brute-force ranking metrics and a
-version-1 checkpoint writer.
+"""Shared test oracles: finite differences, brute-force and stable-sort
+ranking metrics and a version-1 checkpoint writer.
 
 Everything here is deliberately independent of the library's own code paths:
 plain loops, direct definitions, no reuse of the functions under test.
@@ -87,6 +87,29 @@ def sweep_fpr_at_tpr(scores, truth, target=0.95):
             break
     fpr = (scores[~truth] >= best_tau).sum() / n_neg
     return fpr, best_tau
+
+
+def stable_sort_ranking_metrics(scores, truth, target=0.95):
+    """(AP, AUROC, FPR, tau) from a stable descending sort, grouped at ties.
+
+    The arithmetic is the library's, step for step, so any difference in
+    the bits comes from how the pixels were ranked.
+    """
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth, dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    ends = np.append(np.nonzero(np.diff(ordered))[0], ordered.size - 1)
+    cum_tp = np.cumsum(truth[order])[ends]
+    cum_fp = ends + 1 - cum_tp
+    n_pos = int(cum_tp[-1])
+    n_neg = truth.size - n_pos
+    tp = np.diff(cum_tp, prepend=0)
+    fp = np.diff(cum_fp, prepend=0)
+    ap = float((tp * (cum_tp / (cum_tp + cum_fp))).sum() / n_pos)
+    auroc = float(((n_neg - cum_fp) * tp + 0.5 * tp * fp).sum() / (n_pos * n_neg))
+    k = np.nonzero(cum_tp / n_pos >= target)[0][0]
+    return ap, auroc, float(cum_fp[k] / n_neg), float(ordered[ends][k])
 
 
 def write_v1_checkpoint(path, params, stage_biases, step=0, bn_momentum=0.1, bn_eps=1e-5):

@@ -99,6 +99,15 @@ class TestSynth:
                  for p in sorted(out.rglob("*")) if p.is_file()}
         assert snapshot == rerun
 
+    @pytest.mark.parametrize("flag", ["--seed", "--train-count", "--val-count",
+                                      "--test-count"])
+    def test_negative_value_is_a_config_error(self, tmp_path, flag):
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      SYNTH_ARGS + ["--out", tmp_path / "d", flag, "-1"]])
+        assert result.exit_code == 2, result.output
+        assert f"key {flag[2:].replace('-', '_')}: -1 is below 0" in result.output
+        assert not (tmp_path / "d").exists()
+
     def test_percent_in_a_value_reruns_from_the_sidecar(self, tmp_path):
         out = tmp_path / "d%1"
         run_ok(SYNTH_ARGS + ["--out", out])
@@ -188,8 +197,9 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.dhck").exists()
 
     def test_zero_beta_logs_zero_outlier_terms(self, workspace, tmp_path):
+        # beta 0 pastes nothing, so it needs no negative patches
         run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path,
-                             "--beta", "0"])
+                             "--beta", "0", "--patch-count", "0"])
         for line in (tmp_path / "train_log.csv").read_text().splitlines()[1:]:
             _, _, _, posterior_out, likelihood_out, _ = line.split(",")
             assert float(posterior_out) == 0.0
@@ -197,7 +207,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-1"),
                                             ("--seed", "-1"), ("--num-classes", "300"),
-                                            ("--widths", "")])
+                                            ("--widths", ""),
+                                            # beta > 0 with no negatives to paste
+                                            ("--patch-count", "0"), ("--patch-count", "-1"),
+                                            ("--paste-count", "0")])
     def test_bad_value_is_a_config_error(self, workspace, tmp_path, flag, value):
         result = RUNNER.invoke(main, [str(a) for a in
                                       TRAIN_ARGS + ["--data", workspace["manifest"],
@@ -347,6 +360,43 @@ class TestEval:
         write(scores / name, raster)
         return scores
 
+    @pytest.fixture(scope="class")
+    def train_scores(self, workspace, tmp_path_factory):
+        """Scores of the train split, whose scenes hold no anomaly."""
+        scores = tmp_path_factory.mktemp("train_scores")
+        run_ok(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
+                "--data", workspace["manifest"], "--out", scores, "--split", "train"])
+        return scores
+
+    def assert_error_rows(self, result, path, errors):
+        """Every variant's pooled `metric` row is (nan, "error: <errors[metric]>")."""
+        assert result.exit_code == 0, result.output
+        rows = {(r[1], r[2]): r[3:] for r in read_metric_rows(path)}
+        for v in ("hybrid", "generative", "discriminative"):
+            for metric, error in errors.items():
+                assert rows[(f"{metric}/{v}", "")] == ["nan", f"error: {error}"]
+
+    def test_no_outlier_pixel_gives_error_rows(self, workspace, train_scores, tmp_path):
+        result = self.eval_on(workspace, tmp_path, "--split", "train", scores=train_scores)
+        self.assert_error_rows(result, tmp_path / "m.csv", {
+            "ap": "average precision needs at least one positive",
+            "auroc": "AUROC needs both positives and negatives",
+            "fpr95": "FPR/TPR need both positives and negatives"})
+
+    def test_no_evaluated_pixel_gives_error_rows(self, workspace, train_scores, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace["manifest"].parent, scenes)
+        for row in read_manifest(scenes / "manifest.csv"):
+            if row.split == "train":  # every pixel ignored
+                write_pgm(scenes / row.label, np.full((32, 32), 255, np.uint8))
+                write_pgm(scenes / row.mask, np.full((32, 32), 2, np.uint8))
+        result = RUNNER.invoke(main, [str(a) for a in [
+            "eval", "--data", scenes / "manifest.csv", "--scores", train_scores,
+            "--out", tmp_path / "m.csv", "--split", "train"]])
+        error = "scores and truth must be equal-length and nonempty"
+        self.assert_error_rows(result, tmp_path / "m.csv",
+                               {"ap": error, "auroc": error, "fpr95": error})
+
     def test_unknown_variant_is_a_config_error(self, workspace, tmp_path):
         result = self.eval_on(workspace, tmp_path, "--variants", "foo")
         assert result.exit_code == 2, result.output
@@ -413,6 +463,11 @@ class TestToy:
         result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", ""])
         assert result.exit_code == 2, result.output
         assert "at least one seed" in result.output
+
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", "0,-1"])
+        assert result.exit_code == 2, result.output
+        assert "no negative one" in result.output
 
 
 # per key kind: INI text, flag text, and the values they parse to

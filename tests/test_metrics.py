@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pairwise_auroc, sweep_average_precision, sweep_fpr_at_tpr
+from helpers import (
+    pairwise_auroc,
+    stable_sort_ranking_metrics,
+    sweep_average_precision,
+    sweep_fpr_at_tpr,
+)
 from hybridseg.errors import ContractViolation, DegenerateScoreSet
 from hybridseg.labels import IGNORE_LABEL
 from hybridseg.metrics import (
@@ -22,6 +27,7 @@ from hybridseg.metrics import (
     open_miou,
     pool_pixels,
     range_binned,
+    rank,
     two_fold_open_eval,
 )
 
@@ -134,6 +140,40 @@ class TestAuroc:
             return
         # both sum half-integers exactly and divide once, so they agree bit for bit
         assert auroc(scores, truth) == pairwise_auroc(scores, truth)
+
+
+class TestRankingAtScale:
+    """numpy sorts arrays this large by another algorithm than the small ones
+    above, and the default kind is not stable: ties must still group exactly."""
+
+    N = 200_000
+
+    def data(self):
+        rng = np.random.default_rng(11)
+        levels = rng.integers(0, 50, size=self.N)
+        truth = rng.random(self.N) < (levels + 1) / 60.0  # more anomalous, more likely
+        return levels / 7.0, truth
+
+    @staticmethod
+    def metrics(ranking):
+        return (ranking.average_precision(), ranking.auroc(), *ranking.fpr_at_tpr(0.95))
+
+    def test_the_default_sort_reorders_ties(self):
+        scores, _ = self.data()
+        assert np.unique(scores).size == 50
+        assert not np.array_equal(np.argsort(-scores), np.argsort(-scores, kind="stable"))
+
+    def test_matches_a_stable_sort_bit_for_bit(self):
+        scores, truth = self.data()
+        got = self.metrics(rank(scores, truth))
+        assert got == stable_sort_ranking_metrics(scores, truth, 0.95)
+        assert (average_precision(scores, truth), auroc(scores, truth),
+                *fpr_at_tpr(scores, truth)) == got
+
+    def test_a_permutation_changes_nothing(self):
+        scores, truth = self.data()
+        perm = np.random.default_rng(12).permutation(self.N)
+        assert self.metrics(rank(scores[perm], truth[perm])) == self.metrics(rank(scores, truth))
 
 
 MONOTONE_TRANSFORMS = (
