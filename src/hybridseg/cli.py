@@ -113,6 +113,8 @@ def _command(name: str, run, help_text: str) -> None:
 
 
 def run_synth(cfg: dict) -> None:
+    if min(cfg["seed"], cfg["train_count"], cfg["val_count"], cfg["test_count"]) < 0:
+        raise ConfigError("seed and split counts must be >= 0")
     out = Path(cfg["out"])
     if out.exists() and any(out.iterdir()) and not cfg["force"]:
         raise ConfigError(f"{out} is not empty (use --force true to overwrite)")
@@ -127,7 +129,8 @@ def run_synth(cfg: dict) -> None:
                                                   pts.roles, pts.unseen)]
         _write_csv(toy_dir / f"{name}.csv", ("x", "y", "class_label", "role", "unseen"), rows)
 
-    counts = {split: cfg[f"{split}_count"] for split in ("train", "val", "test")}
+    counts = {"train": cfg["train_count"], "val": cfg["val_count"],
+              "test": cfg["test_count"]}
     splits = gen_scenes(cfg["seed"], SceneConfig(size=cfg["scene_size"]), counts)
     save_scenes(out / "scenes", splits)
     cfgmod.write_sidecar(out, "synth", cfg)
@@ -150,6 +153,8 @@ def run_train(cfg: dict) -> None:
     net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
                         num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
                         seed=cfg["seed"])
+    if cfg["batch_size"] < 1:
+        raise ConfigError("batch_size must be >= 1")
     if cfg["beta"] > 0 and min(cfg["paste_count"], cfg["patch_count"]) < 1:
         raise ConfigError("beta > 0 needs paste_count and patch_count >= 1")
     manifest = Path(cfg["data"])
@@ -259,7 +264,6 @@ _command("score", run_score,
 
 
 def _metric_row(split, metric, compute):
-    """One unbinned `metrics.csv` row; a metric that cannot be computed says why."""
     try:
         return (split, metric, "", repr(float(compute())), "ok")
     except (DegenerateScoreSet, ContractViolation) as exc:
@@ -267,8 +271,7 @@ def _metric_row(split, metric, compute):
 
 
 def _pooled_rows(split, v, scores, truth, target_tpr):
-    """The ap, auroc and fpr95 rows of variant `v`, read from one ranking made
-    on first use, so a set that cannot be ranked gives each row its error."""
+    """Variant `v`'s ap, auroc and fpr95 rows; each gets its own error if `rank` fails."""
     ranking = functools.cache(lambda: rank(scores, truth))
     return [_metric_row(split, f"ap/{v}", lambda: ranking().average_precision()),
             _metric_row(split, f"auroc/{v}", lambda: ranking().auroc()),

@@ -26,17 +26,16 @@ class Key:
     kind: str  # "int" | "float" | "str" | "bool"
     default: object = None
     required: bool = False
-    minimum: int | None = None  # for "int" keys
 
 
 SCHEMAS: dict[str, tuple[Key, ...]] = {
     "synth": (
         Key("out", "str", required=True),
-        Key("seed", "int", 0, minimum=0),
+        Key("seed", "int", 0),
         Key("scene_size", "int", 64),
-        Key("train_count", "int", 40, minimum=0),
-        Key("val_count", "int", 10, minimum=0),
-        Key("test_count", "int", 10, minimum=0),
+        Key("train_count", "int", 40),
+        Key("val_count", "int", 10),
+        Key("test_count", "int", 10),
         Key("toy_points", "int", 200),
         Key("force", "bool", False),
     ),
@@ -49,7 +48,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("kernel_size", "int", 3),
         Key("epochs", "int", 10),
         Key("batches_per_epoch", "int", 25),
-        Key("batch_size", "int", 4, minimum=1),
+        Key("batch_size", "int", 4),
         Key("crop_size", "int", 64),
         Key("paste_count", "int", 2),
         Key("patch_count", "int", 64),
@@ -91,20 +90,22 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
 }
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-_PARSERS = {"int": int, "float": float, "str": str,
-            "bool": lambda raw: _BOOLS[raw.strip().lower()]}
-
-
 def _parse(key: Key, raw: str):
     try:
-        value = _PARSERS[key.kind](raw)
-    except (KeyError, ValueError) as exc:
+        if key.kind == "int":
+            return int(raw)
+        if key.kind == "float":
+            return float(raw)
+        if key.kind == "bool":
+            lowered = raw.strip().lower()
+            if lowered in ("1", "true", "yes", "on"):
+                return True
+            if lowered in ("0", "false", "no", "off"):
+                return False
+            raise ValueError(raw)
+        return raw
+    except ValueError as exc:
         raise ConfigError(f"key {key.name}: cannot parse {raw!r} as {key.kind}") from exc
-    if key.minimum is not None and value < key.minimum:
-        raise ConfigError(f"key {key.name}: {value} is below {key.minimum}")
-    return value
 
 
 def resolve(command: str, config_path: str | None,

@@ -1,15 +1,13 @@
 """Detection and segmentation metrics.
 
 Scores follow the convention "higher = more anomalous" throughout. Every
-ranking metric (AP, AUROC, and FPR with its threshold at a target TPR) is
-a method of the `Ranking` that `rank` builds with one sort, so several
-metrics of one pixel set share it. A `Ranking` keeps only the counts at
-the end of each run of tied scores, which no order within the run
-changes: the sort need not be stable, ties are handled identically no
-matter the input order, and every metric is invariant under strictly
-increasing transforms of the scores. The two-fold protocol calibrates its
-threshold with `fpr_at_tpr`, and both confusion matrices come from
-`open_confusion`.
+ranking metric (AP, AUROC, FPR and its threshold at a target TPR) is a
+method of the `Ranking` built by one sort in `rank`. It keeps only the
+counts at the end of each run of tied scores, which no order within the
+run changes: the sort need not be stable, ties count the same in any
+input order, and every metric is invariant under strictly increasing
+transforms of the scores. The two-fold protocol calibrates its threshold
+with `fpr_at_tpr`; both confusion matrices come from `open_confusion`.
 
 IGNORE pixels must be excluded by the caller before a ranking metric runs;
 the label-map helpers do that exclusion themselves.
@@ -44,8 +42,7 @@ class Ranking:
     nneg: int
 
     def average_precision(self) -> float:
-        """Non-interpolated AP: the mean over positives of the precision
-        once each one's whole threshold group is admitted."""
+        """Non-interpolated AP: each positive counts its whole tie group's precision."""
         if not self.npos:
             raise DegenerateScoreSet("average precision needs at least one positive")
         tp_in_group = np.diff(self.cum_tp, prepend=0)
@@ -53,18 +50,15 @@ class Ranking:
         return float((tp_in_group * precision).sum() / self.npos)
 
     def auroc(self) -> float:
-        """Probability that a random positive outscores a random negative; pairs
-        tied within a group count one half, so the numerator is exact."""
+        """P(a random positive outscores a random negative); a tied pair counts 1/2."""
         if not self.npos or not self.nneg:
             raise DegenerateScoreSet("AUROC needs both positives and negatives")
-        tp = np.diff(self.cum_tp, prepend=0)
-        fp = np.diff(self.cum_fp, prepend=0)
+        tp, fp = np.diff(self.cum_tp, prepend=0), np.diff(self.cum_fp, prepend=0)
         wins = ((self.nneg - self.cum_fp) * tp + 0.5 * tp * fp).sum()
         return float(wins / (self.npos * self.nneg))
 
     def fpr_at_tpr(self, target_tpr: float = 0.95) -> tuple[float, float]:
-        """(FPR, tau) at the largest tau whose TPR (score >= tau) reaches
-        `target_tpr`; a target of zero admits nothing, so tau is inf."""
+        """(FPR, tau) at the largest tau whose TPR (score >= tau) reaches `target_tpr`."""
         if not self.npos or not self.nneg:
             raise DegenerateScoreSet("FPR/TPR need both positives and negatives")
         if target_tpr <= 0.0:
@@ -87,14 +81,17 @@ def rank(scores, truth) -> Ranking:
 
 
 def average_precision(scores, truth) -> float:
+    """`rank(scores, truth).average_precision()`; see `Ranking.average_precision`."""
     return rank(scores, truth).average_precision()
 
 
 def auroc(scores, truth) -> float:
+    """`rank(scores, truth).auroc()`; see `Ranking.auroc`."""
     return rank(scores, truth).auroc()
 
 
 def fpr_at_tpr(scores, truth, target_tpr: float = 0.95) -> tuple[float, float]:
+    """`rank(scores, truth).fpr_at_tpr(target_tpr)`; see `Ranking.fpr_at_tpr`."""
     return rank(scores, truth).fpr_at_tpr(target_tpr)
 
 
@@ -251,10 +248,9 @@ def range_binned(scores, truth, distance, bin_edges,
     for lo, hi in zip(edges, edges[1:]):
         keep = (distance >= lo) & (distance < hi)
         t = truth[keep]
+        ap, fpr95, status = float("nan"), float("nan"), "degenerate"
         if t.any() and not t.all():
             r = rank(scores[keep], t)
             ap, fpr95, status = r.average_precision(), r.fpr_at_tpr(target_tpr)[0], "ok"
-        else:
-            ap, fpr95, status = float("nan"), float("nan"), "degenerate"
         results.append(BinResult(lo, hi, int(keep.sum()), status, ap, fpr95))
     return results
