@@ -287,11 +287,13 @@ def _read_shaped(reader, path, shape) -> np.ndarray:
 
 
 def run_eval(cfg: dict) -> None:
+    k = cfg["num_classes"]
+    if not 2 <= k < IGNORE_LABEL:  # the range `train` accepts
+        raise ConfigError(f"num_classes must be in 2..{IGNORE_LABEL - 1}")
     manifest = Path(cfg["data"])
     rows = split_rows(manifest, cfg["split"])
     variants = _variants(cfg)
     scores_dir = Path(cfg["scores"])
-    k = cfg["num_classes"]
     split = cfg["split"]
 
     gts, argmaxes, dists = [], [], []

@@ -1,4 +1,4 @@
-"""Training losses over mixed-content batches.
+"""The training objective over mixed-content batches: `compound_loss`.
 
 Pixels carry one of three roles. Inlier pixels drive the standard per-pixel
 cross-entropy and a binary term pulling the dataset posterior toward 1.
@@ -31,6 +31,7 @@ class LossBreakdown:
     """Scalar loss components of one batch, plus pixel counts per role.
 
     ``total = cls + posterior_in + beta * (posterior_out + likelihood_out)``.
+    Every pixel that is neither inlier nor outlier counts as ignore.
     """
 
     cls: float
@@ -38,7 +39,6 @@ class LossBreakdown:
     posterior_out: float
     likelihood_out: float
     total: float
-    beta: float
     inlier_pixels: int
     outlier_pixels: int
     ignore_pixels: int
@@ -46,72 +46,43 @@ class LossBreakdown:
     CSV_FIELDS = ("cls", "posterior_in", "posterior_out", "likelihood_out", "total")
 
 
-def _role_masks(roles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    roles = np.asarray(roles)
-    if roles.ndim != 3:
-        raise ContractViolation("roles must be (N,H,W)")
-    inlier = roles == PixelRole.INLIER
-    outlier = roles == PixelRole.OUTLIER
-    return inlier[:, None], outlier[:, None]
-
-
-def _as_tensor(x) -> ad.Tensor:
-    return x if isinstance(x, ad.Tensor) else ad.constant(x)
-
-
-def _safe_labels(labels: np.ndarray, inlier4: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    picked = labels[inlier4[:, 0]]
-    if picked.size and (picked.min() < 0 or picked.max() >= num_classes):
-        raise ContractViolation("inlier pixels carry out-of-range class labels")
-    # non-inlier pixels hold sentinel values; point them at channel 0, the
-    # gather result there is masked out anyway
-    return np.where(inlier4[:, 0], labels, 0)
-
-
-def classification_loss(logits, labels, roles) -> ad.Tensor:
-    """Mean per-pixel cross-entropy over inlier pixels (0 if there are none)."""
-    logits = _as_tensor(logits)
-    inlier4, _ = _role_masks(roles)
-    if not inlier4.any():
-        log.warning("classification loss over zero inlier pixels, returning 0")
-        return ad.constant(0.0)
-    safe = _safe_labels(labels, inlier4, logits.value.shape[1])
-    nll = ad.channel_log_sum_exp(logits) - ad.take_channel(logits, safe)
-    return ad.masked_mean(nll, np.broadcast_to(inlier4, nll.value.shape))
-
-
-def outlier_energy_term(logits, roles) -> ad.Tensor:
-    """Mean log-sum-exp of the logits over outlier pixels (0 if there are none)."""
-    logits = _as_tensor(logits)
-    _, outlier4 = _role_masks(roles)
-    lse = ad.channel_log_sum_exp(logits)
-    return ad.masked_mean(lse, np.broadcast_to(outlier4, lse.value.shape))
-
-
-def posterior_loss_terms(dataset_posterior, roles) -> tuple[ad.Tensor, ad.Tensor]:
-    """Binary cross-entropy split by role: (-mean ln p over inliers,
-    -mean ln(1-p) over outliers). Posterior clamping upstream keeps both finite."""
-    din = _as_tensor(dataset_posterior)
-    inlier4, outlier4 = _role_masks(roles)
-    in_term = -ad.masked_mean(ad.log(din), np.broadcast_to(inlier4, din.value.shape))
-    one_minus = ad.constant(1.0) - din
-    out_term = -ad.masked_mean(ad.log(one_minus), np.broadcast_to(outlier4, din.value.shape))
-    return in_term, out_term
-
-
-def compound_loss(logits, dataset_posterior, labels, roles,
+def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels, roles,
                   beta: float) -> tuple[ad.Tensor, LossBreakdown]:
     """Full training objective and its per-term breakdown.
+
+    ``cls`` is the cross-entropy over inlier pixels, ``posterior_in`` and
+    ``posterior_out`` the binary cross-entropy of the dataset posterior
+    (-mean ln p over inliers, -mean ln(1-p) over outliers; posterior
+    clamping upstream keeps both finite), and ``likelihood_out`` the mean
+    log-sum-exp of the logits over outlier pixels.
 
     total = cls + posterior_in + beta * (posterior_out + likelihood_out)
     """
     if beta < 0:
         raise ContractViolation("beta must be >= 0")
     roles = np.asarray(roles)
-    cls = classification_loss(logits, labels, roles)
-    lx_out = outlier_energy_term(logits, roles)
-    d_in, d_out = posterior_loss_terms(dataset_posterior, roles)
+    if roles.ndim != 3:
+        raise ContractViolation("roles must be (N,H,W)")
+    inlier = (roles == PixelRole.INLIER)[:, None]
+    outlier = (roles == PixelRole.OUTLIER)[:, None]
+    n_in, n_out = int(inlier.sum()), int(outlier.sum())
+    labels = np.asarray(labels)
+    picked = labels[inlier[:, 0]]
+    if n_in and (picked.min() < 0 or picked.max() >= logits.value.shape[1]):
+        raise ContractViolation("inlier pixels carry out-of-range class labels")
+    if not n_in:
+        log.warning("classification loss over zero inlier pixels, returning 0")
+
+    # one log-sum-exp node serves both the cross-entropy and the outlier
+    # energy; the role masks are disjoint, so its gradient sums one nonzero
+    # term per pixel. Non-inlier pixels hold sentinel labels: point them at
+    # channel 0, where the inlier mask drops them.
+    lse = ad.channel_log_sum_exp(logits)
+    nll = lse - ad.take_channel(logits, np.where(inlier[:, 0], labels, 0))
+    cls = ad.masked_mean(nll, inlier)
+    lx_out = ad.masked_mean(lse, outlier)
+    d_in = -ad.masked_mean(ad.log(dataset_posterior), inlier)
+    d_out = -ad.masked_mean(ad.log(1.0 - dataset_posterior), outlier)
     total = cls + d_in + beta * (d_out + lx_out)
     breakdown = LossBreakdown(
         cls=cls.item(),
@@ -119,9 +90,8 @@ def compound_loss(logits, dataset_posterior, labels, roles,
         posterior_out=d_out.item(),
         likelihood_out=lx_out.item(),
         total=total.item(),
-        beta=beta,
-        inlier_pixels=int((roles == PixelRole.INLIER).sum()),
-        outlier_pixels=int((roles == PixelRole.OUTLIER).sum()),
-        ignore_pixels=int((roles == PixelRole.IGNORE).sum()),
+        inlier_pixels=n_in,
+        outlier_pixels=n_out,
+        ignore_pixels=roles.size - n_in - n_out,
     )
     return total, breakdown

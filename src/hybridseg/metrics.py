@@ -23,12 +23,9 @@ from .errors import ContractViolation, DegenerateScoreSet
 from .labels import IGNORE_LABEL
 
 
-def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.asarray(scores, dtype=float).ravel()
-    truth = np.asarray(truth).ravel().astype(bool, copy=False)
-    if scores.shape != truth.shape or scores.size == 0:
-        raise ContractViolation("scores and truth must be equal-length and nonempty")
-    return scores, truth
+def _flat(scores, truth) -> tuple[np.ndarray, np.ndarray]:
+    return (np.asarray(scores, dtype=float).ravel(),
+            np.asarray(truth).ravel().astype(bool, copy=False))
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,9 @@ class Ranking:
 
 def rank(scores, truth) -> Ranking:
     """The `Ranking` of `scores` against `truth`, from one unstable sort."""
-    scores, truth = _validated(scores, truth)
+    scores, truth = _flat(scores, truth)
+    if scores.shape != truth.shape or scores.size == 0:
+        raise ContractViolation("scores and truth must be equal-length and nonempty")
     order = np.argsort(-scores)
     s = scores[order]
     ends = np.append(np.nonzero(s[1:] != s[:-1])[0], s.size - 1)
@@ -235,10 +234,13 @@ def range_binned(scores, truth, distance, bin_edges,
     """AP and FPR@TPR per distance bin [edge_i, edge_{i+1}).
 
     Bins without both positives and negatives come back with status
-    "degenerate" and NaN metrics rather than zeros.
+    "degenerate" and NaN metrics rather than zeros; so does every bin of an
+    empty pixel set.
     """
-    scores, truth = _validated(scores, truth)
+    scores, truth = _flat(scores, truth)
     distance = np.asarray(distance, dtype=float).ravel()
+    if truth.shape != scores.shape:
+        raise ContractViolation("scores and truth must be equal-length")
     if distance.shape != scores.shape:
         raise ContractViolation("distance must be present for every pixel")
     edges = list(bin_edges)

@@ -97,7 +97,8 @@ def write_pgm(path, raster: np.ndarray) -> None:
 
 
 def read_score_raster(path) -> np.ndarray:
-    """Real-valued score map as float32 (H, W)."""
+    """Real-valued score map as float32 (H, W); a NaN score is a format error,
+    since no ranking of it is defined."""
     data = Path(path).read_bytes()
     if data[:4] != SCORE_MAGIC:
         raise DataFormatError(f"{path}: bad score-raster magic")
@@ -108,7 +109,10 @@ def read_score_raster(path) -> np.ndarray:
         raise DataFormatError(f"{path}: unsupported score-raster version {version}")
     if len(data) != 16 + 4 * h * w:
         raise DataFormatError(f"{path}: score raster has wrong byte length")
-    return np.frombuffer(data[16:], dtype="<f4").reshape(h, w)
+    scores = np.frombuffer(data[16:], dtype="<f4").reshape(h, w)
+    if np.isnan(scores).any():
+        raise DataFormatError(f"{path}: score raster holds NaN")
+    return scores
 
 
 def write_score_raster(path, scores: np.ndarray) -> None:

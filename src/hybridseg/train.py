@@ -38,14 +38,14 @@ class TrainConfig:
             raise ContractViolation("beta must be >= 0")
 
 
-def _epoch_mean(parts: list[LossBreakdown], beta: float) -> LossBreakdown:
+def _epoch_mean(parts: list[LossBreakdown]) -> LossBreakdown:
     def mean(name):
         return float(np.mean([getattr(p, name) for p in parts]))
 
     return LossBreakdown(
         cls=mean("cls"), posterior_in=mean("posterior_in"),
         posterior_out=mean("posterior_out"), likelihood_out=mean("likelihood_out"),
-        total=mean("total"), beta=beta,
+        total=mean("total"),
         inlier_pixels=sum(p.inlier_pixels for p in parts),
         outlier_pixels=sum(p.outlier_pixels for p in parts),
         ignore_pixels=sum(p.ignore_pixels for p in parts),
@@ -83,7 +83,7 @@ def train(params: ModelParams, make_batch,
             raise TrainingDiverged(
                 f"training diverged in epoch {epoch}: {exc}",
                 last_good_params=last_good, history=history) from exc
-        summary = _epoch_mean(parts, cfg.beta)
+        summary = _epoch_mean(parts)
         history.append(summary)
         last_good = params.copy()
         log.info("epoch %d/%d total=%.5f cls=%.5f", epoch + 1, cfg.epochs,

@@ -388,19 +388,35 @@ class TestEval:
             "auroc": "AUROC needs both positives and negatives",
             "fpr95": "FPR/TPR need both positives and negatives"})
 
-    def test_no_evaluated_pixel_gives_error_rows(self, workspace, train_scores, tmp_path):
+    def all_ignored(self, workspace, tmp_path, split):
+        """Manifest of a copy of the scenes in which every `split` pixel is ignored."""
         scenes = tmp_path / "scenes"
         shutil.copytree(workspace["manifest"].parent, scenes)
         for row in read_manifest(scenes / "manifest.csv"):
-            if row.split == "train":  # every pixel ignored
+            if row.split == split:
                 write_pgm(scenes / row.label, np.full((32, 32), 255, np.uint8))
                 write_pgm(scenes / row.mask, np.full((32, 32), 2, np.uint8))
+        return scenes / "manifest.csv"
+
+    def test_no_evaluated_pixel_gives_error_rows(self, workspace, train_scores, tmp_path):
         result = RUNNER.invoke(main, [str(a) for a in [
-            "eval", "--data", scenes / "manifest.csv", "--scores", train_scores,
-            "--out", tmp_path / "m.csv", "--split", "train"]])
+            "eval", "--data", self.all_ignored(workspace, tmp_path, "train"),
+            "--scores", train_scores, "--out", tmp_path / "m.csv", "--split", "train"]])
         error = "scores and truth must be equal-length and nonempty"
         self.assert_error_rows(result, tmp_path / "m.csv",
                                {"ap": error, "auroc": error, "fpr95": error})
+
+    def test_no_evaluated_pixel_gives_degenerate_bins(self, workspace, tmp_path):
+        result = RUNNER.invoke(main, [str(a) for a in [
+            "eval", "--data", self.all_ignored(workspace, tmp_path, "test"),
+            "--scores", workspace["run"] / "scores", "--out", tmp_path / "m.csv",
+            "--bins", "5,20,50"]])
+        assert result.exit_code == 0, result.output
+        rows = {(r[1], r[2]): r[3:] for r in read_metric_rows(tmp_path / "m.csv")}
+        for v in ("hybrid", "generative", "discriminative"):
+            for metric in ("ap", "fpr95"):
+                for bin_name in ("5-20m", "20-50m"):
+                    assert rows[(f"{metric}/{v}", bin_name)] == ["nan", "degenerate"]
 
     def test_unknown_variant_is_a_config_error(self, workspace, tmp_path):
         result = self.eval_on(workspace, tmp_path, "--variants", "foo")
@@ -413,6 +429,23 @@ class TestEval:
         result = self.eval_on(workspace, tmp_path, scores=scores)
         assert result.exit_code == 3, result.output
         assert "data error" in result.output
+
+    def test_nan_score_raster_is_a_data_error(self, workspace, tmp_path):
+        raster = read_score_raster(workspace["run"] / "scores" / "test_0000_hybrid.dhsc").copy()
+        raster[3, 5] = np.nan
+        scores = self.damaged_scores(workspace, tmp_path, "test_0000_hybrid.dhsc",
+                                     write_score_raster, raster)
+        result = self.eval_on(workspace, tmp_path, scores=scores)
+        assert result.exit_code == 3, result.output
+        assert "score raster holds NaN" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1", "255", "300"])
+    def test_num_classes_out_of_range_is_a_config_error(self, workspace, tmp_path, value):
+        result = self.eval_on(workspace, tmp_path, "--num-classes", value)
+        assert result.exit_code == 2, result.output
+        assert "num_classes must be in 2..254" in result.output
+        assert not (tmp_path / "m.csv").exists()
 
     def test_out_of_range_argmax_is_a_data_error(self, workspace, tmp_path):
         scores = self.damaged_scores(workspace, tmp_path, "test_0000_argmax.pgm",

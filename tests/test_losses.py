@@ -8,20 +8,28 @@ from helpers import finite_difference, rel_err
 from hybridseg import autodiff as ad
 from hybridseg.errors import ContractViolation
 from hybridseg.labels import IGNORE_LABEL, PixelRole
-from hybridseg.losses import (
-    classification_loss,
-    compound_loss,
-    outlier_energy_term,
-    posterior_loss_terms,
-)
+from hybridseg.losses import compound_loss
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
+def loss_of(logits, labels, roles, din=0.5, beta=0.03):
+    """`compound_loss` with a constant posterior `din` unless a tensor is given.
+
+    A constant posterior carries no gradient, so with single-role fixtures
+    every logit gradient comes from that role's logit term alone.
+    """
+    logits = logits if isinstance(logits, ad.Tensor) else ad.constant(logits)
+    if not isinstance(din, ad.Tensor):
+        n, _, h, w = logits.value.shape
+        din = ad.constant(np.full((n, 1, h, w), din))
+    return compound_loss(logits, din, np.asarray(labels), np.asarray(roles), beta)
+
+
 def one_pixel(logits_vec):
-    """(1,K,1,1) logits tensor from a flat vector."""
-    return ad.constant(np.asarray(logits_vec, dtype=float).reshape(1, -1, 1, 1))
+    """(1,K,1,1) logits from a flat vector."""
+    return np.asarray(logits_vec, dtype=float).reshape(1, -1, 1, 1)
 
 
 def two_pixel_fixture():
@@ -36,44 +44,36 @@ def two_pixel_fixture():
 
 class TestClassification:
     def test_single_pixel_value(self):
-        logits = one_pixel([1.0, 2.0, 3.0])
-        labels = np.array([[[2]]])
-        roles = np.array([[[PixelRole.INLIER]]])
-        got = classification_loss(logits, labels, roles).item()
-        assert got == pytest.approx(0.4076059644443802, abs=1e-12)
+        _, parts = loss_of(one_pixel([1.0, 2.0, 3.0]), [[[2]]], [[[PixelRole.INLIER]]])
+        assert parts.cls == pytest.approx(0.4076059644443802, abs=1e-12)
 
     def test_perfectly_confident_is_near_zero(self):
-        logits = one_pixel([-30.0, 30.0])
-        loss = classification_loss(logits, np.array([[[1]]]), np.array([[[0]]]))
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        _, parts = loss_of(one_pixel([-30.0, 30.0]), [[[1]]], [[[0]]])
+        assert parts.cls == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_over_inlier_pixels_only(self):
         logits = np.zeros((1, 2, 1, 3))
         logits[0, :, 0, 0] = [0.0, 1.0]
         logits[0, :, 0, 1] = [5.0, -5.0]  # outlier pixel: must not count
         logits[0, :, 0, 2] = [1.0, 0.0]
-        labels = np.array([[[1, IGNORE_LABEL, 0]]])
-        roles = np.array([[[0, 1, 0]]])
-        got = classification_loss(ad.constant(logits), labels, roles).item()
+        _, parts = loss_of(logits, [[[1, IGNORE_LABEL, 0]]], [[[0, 1, 0]]])
         want = math.log(1 + math.exp(-1.0))  # same nll at both inlier pixels
-        assert got == pytest.approx(want, abs=1e-12)
+        assert parts.cls == pytest.approx(want, abs=1e-12)
 
     def test_no_inliers_returns_zero_with_warning(self, caplog):
-        logits = one_pixel([1.0, 2.0])
         with caplog.at_level(logging.WARNING, logger="hybridseg.losses"):
-            loss = classification_loss(logits, np.array([[[255]]]), np.array([[[1]]]))
-        assert loss.item() == 0.0
+            _, parts = loss_of(one_pixel([1.0, 2.0]), [[[255]]], [[[1]]])
+        assert parts.cls == 0.0
         assert any("zero inlier" in r.message for r in caplog.records)
 
     def test_out_of_range_label_rejected(self):
-        logits = one_pixel([1.0, 2.0])
-        with pytest.raises(ContractViolation):
-            classification_loss(logits, np.array([[[2]]]), np.array([[[0]]]))
+        with pytest.raises(ContractViolation, match="out-of-range class labels"):
+            loss_of(one_pixel([1.0, 2.0]), [[[2]]], [[[0]]])
 
     def test_gradient_raises_true_class_logit(self):
-        logits = ad.parameter(np.array([0.3, -0.2, 0.1]).reshape(1, 3, 1, 1))
-        loss = classification_loss(logits, np.array([[[1]]]), np.array([[[0]]]))
-        loss.backward()
+        logits = ad.parameter(one_pixel([0.3, -0.2, 0.1]))
+        total, _ = loss_of(logits, [[[1]]], [[[0]]])
+        total.backward()
         assert logits.grad[0, 1, 0, 0] < 0  # step against gradient raises s_y
         assert logits.grad[0, 0, 0, 0] > 0
         assert logits.grad[0, 2, 0, 0] > 0
@@ -84,50 +84,49 @@ class TestLikelihoodTerms:
         logits = np.zeros((1, 3, 1, 2))
         logits[0, :, 0, 0] = [5.0, 6.0, 7.0]  # inlier pixel, left out
         logits[0, :, 0, 1] = [1.0, 2.0, 3.0]
-        roles = np.array([[[0, 1]]])
-        out_term = outlier_energy_term(ad.constant(logits), roles)
-        assert out_term.item() == pytest.approx(3.4076059644443802, abs=1e-12)
+        _, parts = loss_of(logits, [[[0, IGNORE_LABEL]]], [[[0, 1]]])
+        assert parts.likelihood_out == pytest.approx(3.4076059644443802, abs=1e-12)
 
     @pytest.mark.parametrize("vec", [[1.0, 2.0, 3.0], [0.0, 0.0], [-4.0, 7.5, 0.1, 2.0]])
     def test_energy_bounds_true_logit(self, vec):
         # log-sum-exp >= max >= any single coordinate, so the outlier energy
         # never sits below the true-class logit of the same pixel content
-        logits = np.asarray(vec).reshape(1, -1, 1, 1)
-        out_term = outlier_energy_term(ad.constant(logits), np.array([[[1]]]))
-        assert out_term.item() >= max(vec)
+        _, parts = loss_of(one_pixel(vec), [[[IGNORE_LABEL]]], [[[1]]])
+        assert parts.likelihood_out >= max(vec)
 
     def test_empty_sets_are_zero(self):
-        logits = one_pixel([1.0, 2.0])
-        for role in (0, 2):  # inlier or ignore: no outlier pixels
-            assert outlier_energy_term(logits, np.array([[[role]]])).item() == 0.0
+        for role, label in ((0, 0), (2, IGNORE_LABEL)):  # inlier or ignore: no outliers
+            _, parts = loss_of(one_pixel([1.0, 2.0]), [[[label]]], [[[role]]])
+            assert parts.likelihood_out == 0.0
 
     def test_outlier_gradient_pushes_energy_down(self):
-        logits = ad.parameter(np.array([0.5, 1.5]).reshape(1, 2, 1, 1))
-        out_term = outlier_energy_term(logits, np.array([[[1]]]))
-        out_term.backward()
+        logits = ad.parameter(one_pixel([0.5, 1.5]))
+        total, _ = loss_of(logits, [[[IGNORE_LABEL]]], [[[1]]])
+        total.backward()
         assert (logits.grad > 0).all()  # descent lowers every logit
 
 
 class TestPosteriorTerms:
     def test_values(self):
-        din = ad.constant(np.full((1, 1, 1, 2), 0.9))
-        roles = np.array([[[0, 1]]])
-        in_term, out_term = posterior_loss_terms(din, roles)
-        assert in_term.item() == pytest.approx(-math.log(0.9), abs=1e-12)
-        assert out_term.item() == pytest.approx(-math.log(0.1), abs=1e-12)
-        assert out_term.item() == pytest.approx(2.302585092994046, abs=1e-12)
+        _, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, IGNORE_LABEL]]], [[[0, 1]]],
+                           din=0.9)
+        assert parts.posterior_in == pytest.approx(-math.log(0.9), abs=1e-12)
+        assert parts.posterior_out == pytest.approx(-math.log(0.1), abs=1e-12)
+        assert parts.posterior_out == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_confident_correct_posterior_is_cheap(self):
-        din = ad.constant(np.array([[[[0.999, 0.001]]]]))
-        in_term, out_term = posterior_loss_terms(din, np.array([[[0, 1]]]))
-        assert in_term.item() < 0.01
-        assert out_term.item() < 0.01
+        _, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, IGNORE_LABEL]]], [[[0, 1]]],
+                           din=np.array([[[[0.999, 0.001]]]]))
+        assert parts.posterior_in < 0.01
+        assert parts.posterior_out < 0.01
 
     def test_gradients_pull_in_the_right_direction(self):
+        # constant logits and beta 1: the posterior gradient is that of
+        # posterior_in + posterior_out
         raw = ad.parameter(np.zeros((1, 1, 1, 2)))
-        din = ad.sigmoid(raw)
-        in_term, out_term = posterior_loss_terms(din, np.array([[[0, 1]]]))
-        (in_term + out_term).backward()
+        total, _ = loss_of(np.zeros((1, 2, 1, 2)), [[[0, IGNORE_LABEL]]], [[[0, 1]]],
+                           din=ad.sigmoid(raw), beta=1.0)
+        total.backward()
         assert raw.grad[0, 0, 0, 0] < 0  # descent raises posterior at inlier
         assert raw.grad[0, 0, 0, 1] > 0  # and lowers it at outlier
 
@@ -156,6 +155,12 @@ class TestCompound:
         logits, din, labels, roles = two_pixel_fixture()
         with pytest.raises(ContractViolation):
             compound_loss(logits, din, labels, roles, beta=-0.01)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (1, 1, 1, 2)])
+    def test_roles_must_be_n_h_w(self, shape):
+        logits, din, labels, roles = two_pixel_fixture()
+        with pytest.raises(ContractViolation, match=r"roles must be \(N,H,W\)"):
+            compound_loss(logits, din, labels, roles.reshape(shape), beta=0.03)
 
     def test_ignore_pixels_are_bit_inert(self):
         rng = np.random.default_rng(0)

@@ -491,9 +491,19 @@ class TestRangeBinned:
         empty = range_binned(scores, truth, distance, [0.0, 10.0, 20.0, 30.0])[2]
         assert empty.pixels == 0 and empty.status == "degenerate"
 
+    def test_empty_pixel_set_gives_degenerate_bins(self):
+        results = range_binned([], [], [], [0.0, 10.0, 20.0])
+        assert [(r.lo, r.hi, r.pixels, r.status) for r in results] == [
+            (0.0, 10.0, 0, "degenerate"), (10.0, 20.0, 0, "degenerate")]
+        assert all(math.isnan(r.ap) and math.isnan(r.fpr95) for r in results)
+
     def test_missing_distance_rejected(self):
         with pytest.raises(ContractViolation):
             range_binned([1.0, 0.0], [1, 0], [5.0], [0.0, 10.0])
+
+    def test_truth_length_mismatch_rejected(self):
+        with pytest.raises(ContractViolation):
+            range_binned([1.0, 0.0], [1], [5.0, 6.0], [0.0, 10.0])
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ContractViolation):

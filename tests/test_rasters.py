@@ -76,6 +76,7 @@ class TestScoreRaster:
         rng = np.random.default_rng(1)
         scores = rng.normal(scale=40.0, size=(9, 5)).astype(np.float32)
         scores[0, 0] = np.float32(-3.4e38)
+        scores[0, 1:3] = np.inf, -np.inf  # legal, unlike NaN
         p1, p2 = tmp_path / "a.dhsc", tmp_path / "b.dhsc"
         write_score_raster(p1, scores)
         loaded = read_score_raster(p1)
@@ -93,6 +94,14 @@ class TestScoreRaster:
         p = tmp_path / "a.dhsc"
         write_score_raster(p, np.array([[1.0 + 1e-12]]))
         assert read_score_raster(p)[0, 0] == np.float32(1.0 + 1e-12)
+
+    def test_rejects_nan(self, tmp_path):
+        p = tmp_path / "a.dhsc"
+        scores = np.zeros((2, 3), dtype=np.float32)
+        scores[1, 2] = np.nan
+        write_score_raster(p, scores)
+        with pytest.raises(DataFormatError, match="NaN"):
+            read_score_raster(p)
 
     @pytest.mark.parametrize("mutate", [
         lambda b: b"XXXX" + b[4:],            # magic
