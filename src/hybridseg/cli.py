@@ -45,13 +45,10 @@ from .inference import SCORE_VARIANTS, score_image
 from .labels import IGNORE_LABEL, PixelRole
 from .losses import LossBreakdown
 from .metrics import (
-    EvalImage,
     auroc,
-    average_precision,
     closed_confusion,
     closed_miou,
     fuse_open_prediction,
-    pool_pixels,
     range_binned,
     rank,
     two_fold_open_eval,
@@ -72,7 +69,7 @@ def _guarded(fn):
         except (ConfigError, ContractViolation) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (DataFormatError, DegenerateScoreSet, FileNotFoundError) as exc:
+        except (DataFormatError, DegenerateScoreSet, OSError) as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA)
         except NumericFailure as exc:
@@ -221,7 +218,7 @@ _command("train", run_train, "Train on mixed-content crops from a synthesized da
 
 
 def _variants(cfg: dict) -> list[str]:
-    variants = [v.strip() for v in cfg["variants"].split(",") if v.strip()]
+    variants = list(dict.fromkeys(v.strip() for v in cfg["variants"].split(",") if v.strip()))
     unknown = set(variants) - set(SCORE_VARIANTS)
     if unknown:
         raise ConfigError(f"unknown score variants: {sorted(unknown)}")
@@ -286,52 +283,58 @@ def _read_shaped(reader, path, shape) -> np.ndarray:
     return raster
 
 
+def _evaluated_pixels(cfg: dict, variants: list[str]):
+    """``(gt, argmax, distance, scores, sizes)`` of the split's non-IGNORE pixels,
+    image after image: int64 labels, uint8 argmax, meters (None without
+    ``bins``), each variant's scores and each image's pixel count. Each image
+    is filtered before one concatenation, so its rasters are freed here."""
+    k = cfg["num_classes"]
+    manifest = Path(cfg["data"])
+    scores_dir = Path(cfg["scores"])
+    columns = {name: [] for name in ("gt", "argmax", "distance", *variants)}
+    for row in split_rows(manifest, cfg["split"]):
+        stem = Path(row.image).stem
+        scene = load_scene(manifest.parent, row, k)
+        keep = scene.labels != IGNORE_LABEL
+        argmax_path = scores_dir / f"{stem}_argmax.pgm"
+        am = _read_shaped(read_pgm, argmax_path, keep.shape)
+        if np.any(am >= k):
+            raise DataFormatError(f"{argmax_path}: class {am.max()} >= num_classes {k}")
+        columns["gt"].append(scene.labels[keep])
+        columns["argmax"].append(am[keep])
+        if cfg["bins"]:
+            if scene.distance is None:
+                raise DataFormatError(f"{row.image}: --bins needs {stem}_dist.pgm")
+            columns["distance"].append(scene.distance[keep])
+        for v in variants:
+            path = scores_dir / f"{stem}_{v}.dhsc"
+            columns[v].append(_read_shaped(read_score_raster, path, keep.shape)[keep])
+    sizes = [gt.size for gt in columns["gt"]]
+    flat = {name: np.concatenate(c) for name, c in columns.items() if c}
+    return flat.pop("gt"), flat.pop("argmax"), flat.pop("distance", None), flat, sizes
+
+
 def run_eval(cfg: dict) -> None:
     k = cfg["num_classes"]
     if not 2 <= k < IGNORE_LABEL:  # the range `train` accepts
         raise ConfigError(f"num_classes must be in 2..{IGNORE_LABEL - 1}")
-    manifest = Path(cfg["data"])
-    rows = split_rows(manifest, cfg["split"])
     variants = _variants(cfg)
-    scores_dir = Path(cfg["scores"])
     split = cfg["split"]
+    gt, argmax, distance, scores, sizes = _evaluated_pixels(cfg, variants)
+    truth = gt == k
 
-    gts, argmaxes, dists = [], [], []
-    score_maps = {v: [] for v in variants}
-    for row in rows:
-        stem = Path(row.image).stem
-        scene = load_scene(manifest.parent, row, k)
-        shape = scene.labels.shape
-        argmax_path = scores_dir / f"{stem}_argmax.pgm"
-        am = _read_shaped(read_pgm, argmax_path, shape).astype(np.int64)
-        if np.any(am >= k):
-            raise DataFormatError(f"{argmax_path}: class {am.max()} >= num_classes {k}")
-        gts.append(scene.labels)
-        argmaxes.append(am)
-        dists.append(scene.distance)
-        for v in variants:
-            score_maps[v].append(_read_shaped(read_score_raster,
-                                              scores_dir / f"{stem}_{v}.dhsc", shape))
-
-    out_rows = []
-    cm = sum(closed_confusion(am, gt, k) for am, gt in zip(argmaxes, gts))
-    out_rows.append(_metric_row(split, "closed_miou", lambda: closed_miou(cm)))
-
+    cm = closed_confusion(argmax, gt, k)
+    out_rows = [_metric_row(split, "closed_miou", lambda: closed_miou(cm))]
     for v in variants:
-        images = [EvalImage(argmax=am, scores=s, gt=gt)
-                  for am, s, gt in zip(argmaxes, score_maps[v], gts)]
-        pooled, truth = pool_pixels(images, k)
-        out_rows += _pooled_rows(split, v, pooled, truth, cfg["target_tpr"])
+        out_rows += _pooled_rows(split, v, scores[v], truth, cfg["target_tpr"])
 
         if cfg["two_fold"]:
-            half = max(1, len(images) // 2)
             out_rows.append(_metric_row(split, f"open_miou/{v}", lambda: two_fold_open_eval(
-                images[:half], images[half:], k, cfg["target_tpr"])))
+                argmax, scores[v], gt, sizes, k, cfg["target_tpr"])))
 
-        if cfg["bins"] and all(d is not None for d in dists):
-            distance = np.concatenate([d[gt != IGNORE_LABEL] for d, gt in zip(dists, gts)])
+        if cfg["bins"]:
             edges = cfgmod.parse_float_list(cfg["bins"])
-            for res in range_binned(pooled, truth, distance, edges, cfg["target_tpr"]):
+            for res in range_binned(scores[v], truth, distance, edges, cfg["target_tpr"]):
                 bin_name = f"{res.lo:g}-{res.hi:g}m"
                 out_rows.append((split, f"ap/{v}", bin_name, repr(res.ap), res.status))
                 out_rows.append((split, f"fpr95/{v}", bin_name, repr(res.fpr95), res.status))
@@ -384,9 +387,10 @@ def run_toy_seed(seed: int, n_per_role: int, widths: tuple[int, ...], steps: int
     for v in SCORE_VARIANTS:
         s = bundle.variant(v).ravel()
         point_scores[v] = s
+        r = rank(s, truth)
         results[v] = {
-            "auroc": auroc(s, truth),
-            "ap": average_precision(s, truth),
+            "auroc": r.auroc(),
+            "ap": r.average_precision(),
             "auroc_unseen": auroc(s[unseen_subset], truth[unseen_subset]),
         }
     return results, point_scores, test_set

@@ -9,8 +9,10 @@ input order, and every metric is invariant under strictly increasing
 transforms of the scores. The two-fold protocol calibrates its threshold
 with `fpr_at_tpr`; both confusion matrices come from `open_confusion`.
 
-IGNORE pixels must be excluded by the caller before a ranking metric runs;
-the label-map helpers do that exclusion themselves.
+IGNORE pixels must be excluded by the caller before a ranking metric or
+the two-fold protocol runs; `run_eval` drops them once, as it reads a
+split into one flat table of evaluated pixels. The label-map helpers skip
+them themselves. Fold A is the first n // 2 of a split's n images.
 """
 
 from __future__ import annotations
@@ -102,13 +104,14 @@ def fuse_open_prediction(argmax: np.ndarray, scores: np.ndarray, tau: float,
                          num_classes: int) -> np.ndarray:
     """Per-pixel label: outlier where score >= tau, else the closed-set argmax.
 
-    `argmax` is the (H, W) closed-set prediction. Returns an (H, W) int map
-    with outliers encoded as `num_classes`.
+    `argmax` is the closed-set prediction of the pixels of `scores`, in any
+    shape they share. Returns an int map of that shape with outliers
+    encoded as `num_classes`.
     """
     argmax = np.asarray(argmax)
     scores = np.asarray(scores)
-    if argmax.shape != scores.shape or argmax.ndim != 2:
-        raise ContractViolation("argmax must be (H, W) matching scores")
+    if argmax.shape != scores.shape:
+        raise ContractViolation("argmax must match scores in shape")
     return np.where(scores >= tau, num_classes, argmax)
 
 
@@ -172,46 +175,31 @@ def closed_miou(cm: np.ndarray) -> float:
 # Two-fold open-set evaluation
 
 
-@dataclass(frozen=True)
-class EvalImage:
-    """Everything needed to score one image in the open-set protocol."""
-
-    argmax: np.ndarray  # (H, W) closed-set prediction
-    scores: np.ndarray  # (H, W), higher = more anomalous
-    gt: np.ndarray      # (H, W) open labels (K = outlier)
-
-
-def pool_pixels(images: list[EvalImage], num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, is-outlier) of every non-IGNORE pixel, image after image."""
-    keep = [img.gt != IGNORE_LABEL for img in images]
-    return (np.concatenate([img.scores[m] for img, m in zip(images, keep)]),
-            np.concatenate([img.gt[m] == num_classes for img, m in zip(images, keep)]))
-
-
-def _fold_open_miou(fold: list[EvalImage], num_classes: int, tau: float) -> float:
-    cm = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
-    for img in fold:
-        pred = fuse_open_prediction(img.argmax, img.scores, tau, num_classes)
-        cm += open_confusion(pred, img.gt, num_classes)
-    return open_miou(cm)[1]
-
-
-def two_fold_open_eval(fold_a: list[EvalImage], fold_b: list[EvalImage],
-                       num_classes: int, target_tpr: float = 0.95) -> float:
+def two_fold_open_eval(argmax, scores, gt, image_sizes, num_classes: int,
+                       target_tpr: float = 0.95) -> float:
     """Cross-calibrated open-mIoU, weighted by per-fold image count.
 
-    The anomaly threshold is the tau of `fpr_at_tpr` on one fold, applied
-    to the other, in both directions; each direction's open-mIoU is then
-    averaged with weights proportional to the number of evaluated images.
-    A fold without both anomalous and inlier pixels is degenerate.
+    `argmax`, `scores` and `gt` hold a split's non-IGNORE pixels, image
+    after image, and `image_sizes` each image's count of them. Fold A is
+    the first n // 2 images, fold B the rest; the tau of `fpr_at_tpr` on
+    each fold is applied to the other. A fold without both anomalous and
+    inlier pixels is degenerate; an image without pixels still counts.
     """
-    if not fold_a or not fold_b:
+    argmax, scores, gt = (np.asarray(a) for a in (argmax, scores, gt))
+    if not argmax.shape == scores.shape == gt.shape == (sum(image_sizes),):
+        raise ContractViolation("argmax, scores and gt must hold sum(image_sizes) pixels")
+    n_a, n_b = len(image_sizes) // 2, len(image_sizes) - len(image_sizes) // 2
+    if not n_a:
         raise ContractViolation("both folds need at least one image")
-    _, tau_a = fpr_at_tpr(*pool_pixels(fold_a, num_classes), target_tpr)
-    _, tau_b = fpr_at_tpr(*pool_pixels(fold_b, num_classes), target_tpr)
-    score_a = _fold_open_miou(fold_a, num_classes, tau_b)
-    score_b = _fold_open_miou(fold_b, num_classes, tau_a)
-    n_a, n_b = len(fold_a), len(fold_b)
+    cut = sum(image_sizes[:n_a])
+    folds = (slice(None, cut), slice(cut, None))
+    tau_a, tau_b = (fpr_at_tpr(scores[f], gt[f] == num_classes, target_tpr)[1] for f in folds)
+
+    def fold_miou(f, tau):
+        pred = fuse_open_prediction(argmax[f], scores[f], tau, num_classes)
+        return open_miou(open_confusion(pred, gt[f], num_classes))[1]
+
+    score_a, score_b = fold_miou(folds[0], tau_b), fold_miou(folds[1], tau_a)
     return (n_a * score_a + n_b * score_b) / (n_a + n_b)
 
 

@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, brute-force and stable-sort
-ranking metrics and a version-1 checkpoint writer.
+ranking metrics, the two-fold protocol image by image and a version-1
+checkpoint writer.
 
 Everything here is deliberately independent of the library's own code paths:
 plain loops, direct definitions, no reuse of the functions under test.
@@ -11,6 +12,10 @@ import json
 import struct
 
 import numpy as np
+
+from hybridseg.errors import ContractViolation
+from hybridseg.labels import IGNORE_LABEL
+from hybridseg.metrics import fpr_at_tpr, fuse_open_prediction, open_confusion, open_miou
 
 
 def finite_difference(f, arrays, h=1e-5):
@@ -110,6 +115,35 @@ def stable_sort_ranking_metrics(scores, truth, target=0.95):
     auroc = float(((n_neg - cum_fp) * tp + 0.5 * tp * fp).sum() / (n_pos * n_neg))
     k = np.nonzero(cum_tp / n_pos >= target)[0][0]
     return ap, auroc, float(cum_fp[k] / n_neg), float(ordered[ends][k])
+
+
+def per_image_two_fold(fold_a, fold_b, num_classes, target_tpr=0.95):
+    """Two-fold open-mIoU over lists of (argmax, scores, gt) images.
+
+    Each fold's tau comes from `fpr_at_tpr` on its pooled non-IGNORE
+    pixels; the other fold is then fused and counted one image at a time,
+    and the two scores are weighted by image count.
+    """
+    if not fold_a or not fold_b:
+        raise ContractViolation("both folds need at least one image")
+
+    def tau(fold):
+        keep = [gt != IGNORE_LABEL for _, _, gt in fold]
+        scores = np.concatenate([s[m] for (_, s, _), m in zip(fold, keep)])
+        truth = np.concatenate([gt[m] == num_classes for (_, _, gt), m in zip(fold, keep)])
+        return fpr_at_tpr(scores, truth, target_tpr)[1]
+
+    def fold_miou(fold, t):
+        cm = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
+        for argmax, scores, gt in fold:
+            cm += open_confusion(fuse_open_prediction(argmax, scores, t, num_classes),
+                                 gt, num_classes)
+        return open_miou(cm)[1]
+
+    tau_a, tau_b = tau(fold_a), tau(fold_b)
+    score_a, score_b = fold_miou(fold_a, tau_b), fold_miou(fold_b, tau_a)
+    n_a, n_b = len(fold_a), len(fold_b)
+    return (n_a * score_a + n_b * score_b) / (n_a + n_b)
 
 
 def write_v1_checkpoint(path, params, stage_biases, step=0, bn_momentum=0.1, bn_eps=1e-5):

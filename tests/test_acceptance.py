@@ -39,7 +39,6 @@ from hybridseg.metrics import (
     open_confusion,
     open_miou,
     two_fold_open_eval,
-    EvalImage,
 )
 from hybridseg.network import (
     NetworkConfig,
@@ -369,27 +368,19 @@ def test_ac08_monotone_transform_invariance(report):
 # AC9: two-fold protocol vs a hand trace
 
 
-def _protocol_image(gt, scores, preds):
-    return EvalImage(argmax=np.asarray(preds)[None, :],
-                     scores=np.asarray(scores, dtype=float)[None, :],
-                     gt=np.asarray(gt)[None, :])
-
-
 def test_ac09_two_fold_protocol_hand_trace(report):
     # fold A: one 4-pixel image; fold B: two 3-pixel images (10 pixels total)
-    fold_a = [_protocol_image(gt=[0, 1, 2, 2], scores=[0.1, 0.4, 0.8, 0.6],
-                              preds=[0, 1, 0, 1])]
-    fold_b = [_protocol_image(gt=[0, 2, 1], scores=[0.2, 0.9, 0.3],
-                              preds=[0, 1, 1]),
-              _protocol_image(gt=[1, 0, 2], scores=[0.5, 0.05, 0.7],
-                              preds=[1, 0, 0])]
+    gt = np.array([0, 1, 2, 2] + [0, 2, 1] + [1, 0, 2])
+    scores = np.array([0.1, 0.4, 0.8, 0.6] + [0.2, 0.9, 0.3] + [0.5, 0.05, 0.7])
+    preds = np.array([0, 1, 0, 1] + [0, 1, 1] + [1, 0, 0], dtype=np.uint8)
+    image_sizes = [4, 3, 3]
     # hand trace: tau_A = 0.6 (both A positives admitted), tau_B = 0.7.
     # A at tau_B: px3 -> outlier, px4 -> argmax 1;
     #   class0 IoU 1/1, class1 IoU 1/2 -> score_A = 0.75
     # B at tau_A: every anomaly flagged, no false flags -> score_B = 1.0
     score_a, score_b = 0.75, 1.0
     expected = (1 * score_a + 2 * score_b) / 3
-    got = two_fold_open_eval(fold_a, fold_b, num_classes=2)
+    got = two_fold_open_eval(preds, scores, gt, image_sizes, num_classes=2)
     ok = got == expected
     report("AC09", ok,
            f"- 10-pixel hand trace: got {got!r}, expected (1*0.75 + 2*1.0)/3 "

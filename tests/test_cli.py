@@ -10,6 +10,7 @@ from helpers import write_v1_checkpoint
 from hybridseg import cli
 from hybridseg import config as cfgmod
 from hybridseg.cli import main
+from hybridseg.metrics import average_precision
 from hybridseg.network import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -418,6 +419,52 @@ class TestEval:
                 for bin_name in ("5-20m", "20-50m"):
                     assert rows[(f"{metric}/{v}", bin_name)] == ["nan", "degenerate"]
 
+    def test_bins_without_distance_rasters_is_a_data_error(self, workspace, train_scores,
+                                                           tmp_path):
+        result = self.eval_on(workspace, tmp_path, "--split", "train", "--bins", "5,20,50",
+                              scores=train_scores)
+        assert result.exit_code == 3, result.output
+        assert "data error: train_0000.ppm: --bins needs train_0000_dist.pgm" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("bins", [",", "5"])
+    def test_bins_without_two_edges_is_a_config_error(self, workspace, tmp_path, bins):
+        result = self.eval_on(workspace, tmp_path, "--bins", bins)
+        assert result.exit_code == 2, result.output
+        assert "bin edges must be strictly increasing" in result.output
+
+    def test_ignore_pixels_stay_out_of_pooled_ap(self, workspace, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace["manifest"].parent, scenes)
+        labels = read_pgm(scenes / "test_0000_label.pgm").copy()
+        roles = read_pgm(scenes / "test_0000_role.pgm").copy()
+        assert np.any(labels[0] != 255)
+        labels[0], roles[0] = 255, 2
+        write_pgm(scenes / "test_0000_label.pgm", labels)
+        write_pgm(scenes / "test_0000_role.pgm", roles)
+        run_ok(["eval", "--data", scenes / "manifest.csv", "--scores",
+                workspace["run"] / "scores", "--out", tmp_path / "m.csv"])
+        rows = {(r[1], r[2]): r[3:] for r in read_metric_rows(tmp_path / "m.csv")}
+
+        scores, truth = [], []
+        for row in read_manifest(scenes / "manifest.csv"):
+            if row.split == "test":
+                gt = read_pgm(scenes / row.label)
+                stem = row.image[:-len(".ppm")]
+                hybrid = read_score_raster(workspace["run"] / "scores" / f"{stem}_hybrid.dhsc")
+                scores.append(hybrid[gt != 255])
+                truth.append(gt[gt != 255] == 3)
+        expected = average_precision(np.concatenate(scores), np.concatenate(truth))
+        assert rows[("ap/hybrid", "")] == [repr(expected), "ok"]
+
+    def test_repeated_variant_is_evaluated_once(self, workspace, tmp_path):
+        run_ok(["eval", "--data", workspace["manifest"], "--scores", workspace["run"] / "scores",
+                "--out", tmp_path / "once" / "m.csv", "--variants", "hybrid"])
+        run_ok(["eval", "--data", workspace["manifest"], "--scores", workspace["run"] / "scores",
+                "--out", tmp_path / "twice" / "m.csv", "--variants", "hybrid,hybrid"])
+        assert ((tmp_path / "twice" / "m.csv").read_text()
+                == (tmp_path / "once" / "m.csv").read_text())
+
     def test_unknown_variant_is_a_config_error(self, workspace, tmp_path):
         result = self.eval_on(workspace, tmp_path, "--variants", "foo")
         assert result.exit_code == 2, result.output
@@ -480,6 +527,30 @@ class TestEval:
                                       "--out", str(tmp_path / "m.csv"),
                                       "--split", "holdout"])
         assert result.exit_code == 3
+
+
+WRONG_KIND_PATHS = {
+    "score --checkpoint <dir>": lambda w, d, f: [
+        "score", "--checkpoint", d, "--data", w["manifest"], "--out", d / "s"],
+    "eval --data <dir>": lambda w, d, f: [
+        "eval", "--data", d, "--scores", w["run"] / "scores", "--out", d / "m.csv"],
+    "eval --out <dir>": lambda w, d, f: [
+        "eval", "--data", w["manifest"], "--scores", w["run"] / "scores", "--out", d],
+    "synth --out <file>": lambda w, d, f: SYNTH_ARGS + ["--out", f],
+    "train --out <file>": lambda w, d, f: TRAIN_ARGS + ["--data", w["manifest"], "--out", f],
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND_PATHS)
+def test_path_of_the_wrong_kind_is_a_data_error(workspace, tmp_path, case):
+    directory, file = tmp_path / "dir", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("x")
+    result = RUNNER.invoke(main, [str(a) for a in
+                                  WRONG_KIND_PATHS[case](workspace, directory, file)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert "data error" in result.output
+    assert "Traceback" not in result.output
 
 
 class TestToy:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     pairwise_auroc,
+    per_image_two_fold,
     stable_sort_ranking_metrics,
     sweep_average_precision,
     sweep_fpr_at_tpr,
@@ -15,8 +16,6 @@ from hybridseg.errors import ContractViolation, DegenerateScoreSet
 from hybridseg.labels import IGNORE_LABEL
 from hybridseg.metrics import (
     BinResult,
-    EvalImage,
-    _fold_open_miou,
     auroc,
     average_precision,
     closed_confusion,
@@ -25,7 +24,6 @@ from hybridseg.metrics import (
     fuse_open_prediction,
     open_confusion,
     open_miou,
-    pool_pixels,
     range_binned,
     rank,
     two_fold_open_eval,
@@ -218,6 +216,10 @@ class TestFuseOpenPrediction:
         np.testing.assert_array_equal(
             fuse_open_prediction(self.ARGMAX, self.SCORES, 0.9, 2), [[0, 2]])
 
+    def test_any_shared_shape(self):
+        np.testing.assert_array_equal(
+            fuse_open_prediction(self.ARGMAX.ravel(), self.SCORES.ravel(), 0.5, 2), [0, 2])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             fuse_open_prediction(self.ARGMAX, np.zeros((2, 2)), 0.0, 2)
@@ -381,11 +383,30 @@ class TestOpenVsClosedBound:
 
 
 def _eval_image(rng, k=2, h=4, w=5, anomaly_frac=0.3):
+    """(argmax, scores, gt) maps of one random image."""
     gt = rng.integers(0, k, size=(h, w))
     gt[rng.uniform(size=(h, w)) < anomaly_frac] = k
-    argmax = rng.integers(0, k, size=(h, w))
+    argmax = rng.integers(0, k, size=(h, w)).astype(np.uint8)
     scores = rng.normal(size=(h, w)) + 2.0 * (gt == k)
-    return EvalImage(argmax=argmax, scores=scores, gt=gt)
+    return argmax, scores, gt
+
+
+def _flat(images):
+    """The evaluated pixels of `images` as `two_fold_open_eval`'s table."""
+    keep = [gt != IGNORE_LABEL for _, _, gt in images]
+    argmax, scores, gt = (np.concatenate([img[i][m] for img, m in zip(images, keep)])
+                          for i in range(3))
+    return argmax, scores, gt, [int(m.sum()) for m in keep]
+
+
+def _tau(images, k=2):
+    _, scores, gt, _ = _flat(images)
+    return fpr_at_tpr(scores, gt == k)[1]
+
+
+def _fold_miou(images, tau, k=2):
+    argmax, scores, gt, _ = _flat(images)
+    return open_miou(open_confusion(fuse_open_prediction(argmax, scores, tau, k), gt, k))[1]
 
 
 class TestCalibrateThreshold:
@@ -413,48 +434,60 @@ class TestTwoFoldOpenEval:
     def test_identical_folds_match_single_fold(self):
         rng = np.random.default_rng(2)
         fold = [_eval_image(rng) for _ in range(3)]
-        _, tau = fpr_at_tpr(*pool_pixels(fold, 2))
-        single = _fold_open_miou(fold, 2, tau)
-        assert two_fold_open_eval(fold, list(fold), 2) == pytest.approx(single, abs=1e-12)
+        single = _fold_miou(fold, _tau(fold))
+        assert two_fold_open_eval(*_flat(fold + fold), 2) == pytest.approx(single, abs=1e-12)
 
     def test_image_count_weighting(self):
         rng = np.random.default_rng(3)
         fold_a = [_eval_image(rng)]
-        fold_b = [_eval_image(rng) for _ in range(3)]
-        _, tau_a = fpr_at_tpr(*pool_pixels(fold_a, 2))
-        _, tau_b = fpr_at_tpr(*pool_pixels(fold_b, 2))
-        score_a = _fold_open_miou(fold_a, 2, tau_b)
-        score_b = _fold_open_miou(fold_b, 2, tau_a)
-        expected = 0.25 * score_a + 0.75 * score_b
-        assert two_fold_open_eval(fold_a, fold_b, 2) == pytest.approx(expected, abs=1e-12)
+        fold_b = [_eval_image(rng) for _ in range(2)]
+        score_a = _fold_miou(fold_a, _tau(fold_b))
+        score_b = _fold_miou(fold_b, _tau(fold_a))
+        expected = (1 * score_a + 2 * score_b) / 3
+        assert two_fold_open_eval(*_flat(fold_a + fold_b), 2) == pytest.approx(
+            expected, abs=1e-12)
 
-    def test_ignore_pixels_stay_out_of_calibration(self):
-        rng = np.random.default_rng(4)
-        img = _eval_image(rng)
-        gt = img.gt.copy()
-        gt[0, :] = IGNORE_LABEL
-        masked = EvalImage(img.argmax, img.scores, gt)
-        scores, truth = pool_pixels([masked], 2)
-        assert scores.size == gt.size - gt.shape[1]
-        assert truth.sum() == np.count_nonzero(gt == 2)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_per_image_protocol(self, seed):
+        """Bit for bit, with IGNORE pixels, tied scores, uneven image sizes and
+        an image without evaluated pixels, which still counts toward its fold."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 9))
+        images = []
+        for _ in range(n):
+            argmax, scores, gt = _eval_image(rng, k=3, h=int(rng.integers(1, 6)), w=6)
+            gt[rng.uniform(size=gt.shape) < 0.2] = IGNORE_LABEL
+            images.append((argmax, np.round(scores, 1).astype(np.float32), gt))
+        images[int(rng.integers(n))][2][:] = IGNORE_LABEL
+        half = n // 2
+        for fold in images[:half], images[half:]:  # each fold has both kinds of pixel
+            gt = next(gt for _, _, gt in fold if np.any(gt != IGNORE_LABEL))
+            gt[0, :2] = 3, 0
+        got = two_fold_open_eval(*_flat(images), 3)
+        assert got == per_image_two_fold(images[:half], images[half:], 3)
+
+    def test_table_must_match_image_sizes(self):
+        argmax, scores, gt, sizes = _flat([_eval_image(np.random.default_rng(4))] * 2)
+        with pytest.raises(ContractViolation):
+            two_fold_open_eval(argmax, scores, gt, [sizes[0], sizes[1] - 1], 2)
 
     def test_empty_fold_rejected(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(ContractViolation):
-            two_fold_open_eval([], [_eval_image(rng)], 2)
+        with pytest.raises(ContractViolation, match="both folds need at least one image"):
+            two_fold_open_eval(*_flat([_eval_image(rng)]), 2)
 
     def test_fold_without_anomalies_rejected(self):
         rng = np.random.default_rng(6)
         clean = _eval_image(rng, anomaly_frac=0.0)
         with pytest.raises(DegenerateScoreSet):
-            two_fold_open_eval([clean], [_eval_image(rng)], 2)
+            two_fold_open_eval(*_flat([clean, _eval_image(rng)]), 2)
 
     def test_fold_without_inliers_rejected(self):
         rng = np.random.default_rng(6)
         only_anomalies = _eval_image(rng, anomaly_frac=1.0)
-        assert np.all(only_anomalies.gt == 2)
+        assert np.all(only_anomalies[2] == 2)
         with pytest.raises(DegenerateScoreSet):
-            two_fold_open_eval([_eval_image(rng)], [only_anomalies], 2)
+            two_fold_open_eval(*_flat([_eval_image(rng), only_anomalies]), 2)
 
 
 class TestRangeBinned:
