@@ -11,7 +11,10 @@ clip, stride-1 same-padded convolution, per-channel batch normalization,
 channel log-sum-exp, per-pixel channel gather, and masked means. That is
 enough to express the full training objective of the segmentation model.
 Convolution, which sets the cost of a training step, runs each of its
-passes as one GEMM per image against its im2col matrix.
+passes as one GEMM per image against its im2col matrix. Batch-norm, the
+next cost, makes one centred copy of its input and takes its channel sums
+as einsum contractions; in eval mode it is one scale and one shift per
+channel.
 """
 
 from __future__ import annotations
@@ -321,42 +324,65 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """Per-channel affine normalization of NCHW input.
 
     Training mode normalizes with biased batch statistics and folds them into
-    the running averages in place; eval mode uses the running averages.
+    the running averages in place; eval mode uses the running averages, as
+    one scale ``gamma*inv`` and one shift ``beta - mu*gamma*inv`` per channel.
+    Channel sums are einsum contractions. Training makes one centred copy
+    ``xhat``, normalized in place and kept for the backward pass.
     """
     xv = x.value
-    axes = (0, 2, 3)
+    if xv.ndim != 4:
+        raise ContractViolation(f"batch_norm expects NCHW input, got shape {xv.shape}")
+    n, c, h, wd = xv.shape
+    for name, a in (("gamma", gamma.value), ("beta", beta.value),
+                    ("running_mean", running_mean), ("running_var", running_var)):
+        if np.shape(a) != (c,):
+            raise ContractViolation(f"{name} shape {np.shape(a)} != ({c},)")
+    m = n * h * wd
+    x3 = xv.reshape(n, c, h * wd)
     if training:
-        mu = xv.mean(axis=axes)
-        var = xv.var(axis=axes)
+        mu = np.einsum("nck->c", x3) / m
+        xhat = x3 - mu[:, None]
+        var = np.einsum("nck,nck->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv[:, None]
+        out_val = xhat * gamma.value[:, None]
+        out_val += beta.value[:, None]
     else:
-        mu = running_mean
-        var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
-    out_val = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
+        mu = running_mean.copy()  # training calls update the buffer in place
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.value * inv
+        out_val = x3 * scale[:, None]
+        out_val += (beta.value - mu * scale)[:, None]
+        xhat = None
 
     def backprop(g):
+        # g may alias a sibling's grad (see _accumulate): read it, never write
+        g3 = g.reshape(n, c, h * wd)
+        sum_g = np.einsum("nck->c", g3)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes))
+            _accumulate(beta, sum_g)
+        if training or gamma.requires_grad:
+            xh = xhat if training else (x3 - mu[:, None]) * inv[:, None]
+            sum_gxhat = np.einsum("nck,nck->c", g3, xh)
+            if gamma.requires_grad:
+                _accumulate(gamma, sum_gxhat)
         if not x.requires_grad:
             return
-        gxhat = g * gamma.value[None, :, None, None]
+        scale = (gamma.value * inv)[:, None]
         if training:
-            m = xv.shape[0] * xv.shape[2] * xv.shape[3]
-            s1 = gxhat.sum(axis=axes)[None, :, None, None]
-            s2 = (gxhat * xhat).sum(axis=axes)[None, :, None, None]
-            gx = inv[None, :, None, None] / m * (m * gxhat - s1 - xhat * s2)
+            gx = xhat * (-sum_gxhat / m)[:, None]
+            gx += g3
+            gx -= (sum_g / m)[:, None]
+            gx *= scale
         else:
-            gx = gxhat * inv[None, :, None, None]
-        _accumulate(x, gx)
+            gx = g3 * scale
+        _accumulate(x, gx.reshape(xv.shape))
 
-    return _make(out_val, (x, gamma, beta), backprop)
+    return _make(out_val.reshape(xv.shape), (x, gamma, beta), backprop)
 
 
 def channel_log_sum_exp(x: Tensor) -> Tensor:

@@ -320,6 +320,9 @@ def run_eval(cfg: dict) -> None:
         raise ConfigError(f"num_classes must be in 2..{IGNORE_LABEL - 1}")
     variants = _variants(cfg)
     split = cfg["split"]
+    edges = cfgmod.parse_float_list(cfg["bins"])
+    if cfg["bins"] and (len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:]))):
+        raise ConfigError("bin edges must be strictly increasing, >= 2 of them")
     gt, argmax, distance, scores, sizes = _evaluated_pixels(cfg, variants)
     truth = gt == k
 
@@ -333,7 +336,6 @@ def run_eval(cfg: dict) -> None:
                 argmax, scores[v], gt, sizes, k, cfg["target_tpr"])))
 
         if cfg["bins"]:
-            edges = cfgmod.parse_float_list(cfg["bins"])
             for res in range_binned(scores[v], truth, distance, edges, cfg["target_tpr"]):
                 bin_name = f"{res.lo:g}-{res.hi:g}m"
                 out_rows.append((split, f"ap/{v}", bin_name, repr(res.ap), res.status))

@@ -1,6 +1,6 @@
-"""Shared test oracles: finite differences, brute-force and stable-sort
-ranking metrics, the two-fold protocol image by image and a version-1
-checkpoint writer.
+"""Shared test oracles: finite differences, batch-norm by its textbook
+formulas, brute-force and stable-sort ranking metrics, the two-fold
+protocol image by image and a version-1 checkpoint writer.
 
 Everything here is deliberately independent of the library's own code paths:
 plain loops, direct definitions, no reuse of the functions under test.
@@ -50,6 +50,40 @@ def finite_difference_at(f, array, idx, h=1e-5):
 
 def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(floor, abs(a) + abs(b))
+
+
+def reference_batch_norm(x, gamma, beta, running_mean, running_var, training, g,
+                         momentum=0.1, eps=1e-5):
+    """Batch-norm of NCHW ``x`` and its gradients for the cotangent ``g``.
+
+    Returns ``(out, grad_x, grad_gamma, grad_beta, running_mean,
+    running_var)``; the running buffers are updated copies. Each formula is
+    written out with axis reductions and broadcasting, one temporary per
+    step: the batch statistics (variance biased), ``xhat = (x - mu) * inv``
+    and, in training mode, the backward of Ioffe & Szegedy (2015).
+    """
+    axes = (0, 2, 3)
+    running_mean, running_var = running_mean.copy(), running_var.copy()
+    if training:
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean = (1.0 - momentum) * running_mean + momentum * mu
+        running_var = (1.0 - momentum) * running_var + momentum * var
+    else:
+        mu, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    gxhat = g * gamma[None, :, None, None]
+    if training:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        s1 = gxhat.sum(axis=axes)[None, :, None, None]
+        s2 = (gxhat * xhat).sum(axis=axes)[None, :, None, None]
+        grad_x = inv[None, :, None, None] / m * (m * gxhat - s1 - xhat * s2)
+    else:
+        grad_x = gxhat * inv[None, :, None, None]
+    return (out, grad_x, (g * xhat).sum(axis=axes), g.sum(axis=axes),
+            running_mean, running_var)
 
 
 def sweep_average_precision(scores, truth):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import finite_difference, rel_err
+from helpers import finite_difference, reference_batch_norm, rel_err
 
 import hybridseg.autodiff as ad
 from hybridseg.errors import ContractViolation
@@ -293,3 +293,64 @@ class TestBatchNorm:
             return ad.tsum(ad.mul(out, ad.constant(weight)))
 
         check_op_grad(build, [x, gamma, beta], rtol=2e-5)
+        # x a constant: only gamma and beta need gradients, which in eval
+        # mode is the path that recomputes xhat in the backward pass
+        check_op_grad(lambda gg, bb: build(ad.constant(x), gg, bb), [gamma, beta], rtol=2e-5)
+
+    @staticmethod
+    def bn_case(seed, offset):
+        """x, gamma, beta, running mean and var and a cotangent; with
+        ``offset`` channel 1 of x (and its running mean) sits at 1e3 with
+        unit spread."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3, 4, 5, 6))
+        rm = rng.normal(size=4)
+        if offset:
+            x[:, 1] += 1e3
+            rm[1] += 1e3
+        return (x, rng.uniform(0.5, 1.5, size=4), rng.normal(size=4), rm,
+                rng.uniform(0.5, 2.0, size=4), rng.normal(size=x.shape))
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_reference(self, training, seed, offset):
+        x, gamma, beta, rm, rv, g = self.bn_case(seed, offset)
+        want = reference_batch_norm(x, gamma, beta, rm, rv, training, g)
+        xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
+        rm, rv = rm.copy(), rv.copy()
+        out = ad.batch_norm(xt, gt, bt, rm, rv, training=training)
+        ad.tsum(ad.mul(out, ad.constant(g))).backward()
+        for got, ref in zip((out.value, xt.grad, gt.grad, bt.grad, rm, rv), want):
+            assert got.dtype == np.float64
+            # relative to the array's largest entry: elementwise rtol means
+            # nothing for entries that cancel to near zero
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_input_and_incoming_gradient_unchanged(self, training):
+        x, gamma, beta, rm, rv, g = self.bn_case(3, offset=False)
+        xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
+        out = ad.batch_norm(xt, gt, bt, rm, rv, training=training)
+        np.testing.assert_array_equal(xt.value, x)
+        # add hands one gradient array to both operands, so a write into the
+        # incoming gradient would show in the sibling's grad
+        sibling = ad.parameter(np.zeros_like(x))
+        ad.tsum(ad.mul(ad.add(out, sibling), ad.constant(g))).backward()
+        np.testing.assert_array_equal(sibling.grad, g)
+        np.testing.assert_array_equal(xt.value, x)
+
+    def test_non_4d_input_rejected(self):
+        with pytest.raises(ContractViolation, match="NCHW"):
+            ad.batch_norm(ad.constant(np.zeros((2, 3, 4))), ad.parameter(np.ones(3)),
+                          ad.parameter(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
+
+    @pytest.mark.parametrize("which", ["gamma", "beta", "running_mean", "running_var"])
+    def test_per_channel_argument_of_another_length_rejected(self, which):
+        args = {"gamma": np.ones(3), "beta": np.zeros(3),
+                "running_mean": np.zeros(3), "running_var": np.ones(3)}
+        args[which] = args[which][:2]
+        with pytest.raises(ContractViolation, match=f"{which} shape"):
+            ad.batch_norm(ad.constant(np.zeros((2, 3, 4, 4))), ad.parameter(args["gamma"]),
+                          ad.parameter(args["beta"]), args["running_mean"],
+                          args["running_var"], training=False)

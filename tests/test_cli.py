@@ -427,6 +427,14 @@ class TestEval:
         assert "data error: train_0000.ppm: --bins needs train_0000_dist.pgm" in result.output
         assert not (tmp_path / "m.csv").exists()
 
+    def test_bad_bins_beat_missing_distance_rasters(self, workspace, train_scores, tmp_path):
+        # the edges are checked before any raster is read: exit 2, not 3
+        result = self.eval_on(workspace, tmp_path, "--split", "train", "--bins", "50,20",
+                              scores=train_scores)
+        assert result.exit_code == 2, result.output
+        assert "bin edges must be strictly increasing" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("bins", [",", "5"])
     def test_bins_without_two_edges_is_a_config_error(self, workspace, tmp_path, bins):
         result = self.eval_on(workspace, tmp_path, "--bins", bins)
