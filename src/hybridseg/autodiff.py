@@ -10,11 +10,11 @@ The op set is deliberately small: elementwise arithmetic, relu/sigmoid/log,
 clip, stride-1 same-padded convolution, per-channel batch normalization,
 channel log-sum-exp, per-pixel channel gather, and masked means. That is
 enough to express the full training objective of the segmentation model.
-Convolution, which sets the cost of a training step, runs each of its
-passes as one GEMM per image against its im2col matrix. Batch-norm, the
-next cost, makes one centred copy of its input and takes its channel sums
-as einsum contractions; in eval mode it is one scale and one shift per
-channel.
+Convolution, which sets the cost of a training step, runs each pass as
+one GEMM per cache-sized block of output rows, on columns cut from the
+flat, zero-padded image. Batch-norm, the next cost, makes one centred
+copy of its input and takes its channel sums as einsum contractions; in
+eval mode it is one scale and one shift per channel.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+
+# Output rows per conv2d GEMM block: at 32 channels, 3x3 and 64 px a block's
+# columns are 288 x 528 float64, 1.2 MB, which stay in a 2 MiB L2.
+BLOCK_ROWS = 8
 
 
 class Tensor:
@@ -197,8 +201,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     v = x.value
-    out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                       np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out_val = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backprop(g):
         _accumulate(x, g * out_val * (1.0 - out_val))
@@ -255,23 +259,52 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
     return _make(out_val, (x,), backprop)
 
 
-def _columns(xp_i: np.ndarray, k: int) -> np.ndarray:
-    """im2col of one padded CHW image: the ``(C*k*k, H*W)`` matrix whose
-    column at each output pixel holds the k x k window under it, rows in
-    OIHW weight order (channel, then kernel row, then kernel column)."""
-    c = xp_i.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(xp_i, (k, k), axis=(1, 2))
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, -1)
+def _flat_pad(a: np.ndarray, p: int) -> np.ndarray:
+    """Each channel of NCHW ``a`` zero-padded by ``p``, with one more zero
+    row at the bottom as slack for the last window, and flattened. A
+    reshape of ``a`` when ``p == 0``."""
+    if p:
+        a = np.pad(a, ((0, 0), (0, 0), (p, p + 1), (p, p)))
+    return a.reshape(a.shape[0], a.shape[1], -1)
+
+
+def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int):
+    """Yield ``(i, rows, cols)`` over a ``_flat_pad`` buffer.
+
+    ``cols`` is the ``(C*k*k, len(rows)*wp)`` column matrix of output rows
+    ``rows`` of image ``i``, on the padded-width grid of ``wp`` columns per
+    row, with its rows in OIHW weight order. Row ``(c, dy, dx)`` of a block
+    from output row ``r0`` is the contiguous slice of channel ``c`` that
+    starts at ``(r0+dy)*wp + dx``. A block is ``BLOCK_ROWS`` rows, copied
+    into one buffer that the next block overwrites, so it is still in cache
+    for its GEMM. With ``k == 1`` each image is its own column matrix.
+    """
+    n, c, _ = flat.shape
+    if k == 1:
+        for i in range(n):
+            yield i, slice(0, h), flat[i]
+        return
+    sn, sc, se = flat.strides
+    windows = np.lib.stride_tricks.as_strided(
+        flat, (n, c, k, k, h * wp), (sn, sc, wp * se, se, se), writeable=False)
+    buf = np.empty((c * k * k, min(BLOCK_ROWS, h) * wp))
+    for i in range(n):
+        for r0 in range(0, h, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, h)
+            cols = buf[:, :(r1 - r0) * wp]
+            np.copyto(cols.reshape(c, k, k, -1), windows[i, ..., r0 * wp:r1 * wp])
+            yield i, slice(r0, r1), cols
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Stride-1 cross-correlation over NCHW input with zero 'same' padding.
 
     Kernels must be square with odd side, so spatial resolution is always
-    preserved. Each pass (forward, grad-w, grad-x) is one GEMM per image
-    against its im2col matrix. The loop runs per image, not over the whole
-    batch, so only one image's column matrix is alive at a time; the
-    backward closure rebuilds it from the padded input it already holds.
+    preserved. Each pass (forward, grad-w, grad-x) runs one GEMM per
+    ``_column_blocks`` block, on a grid ``k - 1`` columns wider than the
+    image: forward and grad-x crop those columns from each product, and
+    grad-w reads them from padded ``g``, where they are zero. With a 1x1
+    kernel, forward and grad-x are one batched GEMM with no column copy.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -285,34 +318,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.value.shape != (co,):
         raise ContractViolation(f"bias shape {b.value.shape} != ({co},)")
     p = k // 2
-    pad = ((0, 0), (p, p), (p, p))
-    xp = np.pad(xv, ((0, 0),) + pad) if p else xv
-    wm = wv.reshape(co, c * k * k)
-    out_val = np.empty((n, co, h * wd))
-    for i in range(n):
-        np.matmul(wm, _columns(xp[i], k), out=out_val[i])
-    out_val = out_val.reshape(n, co, h, wd)
+    wp = wd + 2 * p
+
+    def correlate(mat, flat):
+        if k == 1:
+            return np.matmul(mat, flat).reshape(n, -1, h, wd)
+        out = np.empty((n, mat.shape[0], h, wd))
+        for i, rows, cols in _column_blocks(flat, k, h, wp):
+            out[i, :, rows] = (mat @ cols).reshape(-1, rows.stop - rows.start, wp)[..., :wd]
+        return out
+
+    xf = _flat_pad(xv, p)
+    out_val = correlate(wv.reshape(co, c * k * k), xf)
     if b is not None:
-        out_val += b.value[None, :, None, None]
+        out_val += b.value[:, None, None]
 
     def backprop(g):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
+        gf = _flat_pad(g, p)
         if w.requires_grad:
-            gm = g.reshape(n, co, h * wd)
+            # g on the padded-width grid: row r of g starts at (r+p)*wp + p
+            # in gf, and the 2p slack positions after it are padding, so zero
+            g_grid = gf[:, :, p * wp + p:p * wp + p + h * wp]
             gw = np.zeros((co, c * k * k))
-            for i in range(n):
-                gw += gm[i] @ _columns(xp[i], k).T
+            for i, rows, cols in _column_blocks(xf, k, h, wp):
+                gw += g_grid[i, :, rows.start * wp:rows.stop * wp] @ cols.T
             _accumulate(w, gw.reshape(wv.shape))
         if x.requires_grad:
             # grad-x is the same-padded correlation of g with the kernel
             # flipped in space and its in/out channels swapped
             wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
-            gx = np.empty((n, c, h * wd))
-            for i in range(n):
-                gp = np.pad(g[i], pad) if p else g[i]
-                np.matmul(wt, _columns(gp, k), out=gx[i])
-            _accumulate(x, gx.reshape(xv.shape))
+            _accumulate(x, correlate(wt, gf))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_val, parents, backprop)

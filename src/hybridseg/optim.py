@@ -30,6 +30,10 @@ class LrSchedule:
             raise ContractViolation(f"unknown schedule kind {self.kind!r}")
         if self.kind == "cosine" and self.total_steps < 1:
             raise ContractViolation("cosine schedule needs total_steps >= 1")
+        for name in ("lr_start", "lr_end"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr >= 0):
+                raise ContractViolation(f"{name} must be finite and >= 0, got {lr!r}")
 
     def at(self, step: int) -> float:
         if self.kind == "constant":

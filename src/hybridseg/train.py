@@ -9,6 +9,7 @@ fully-finite epoch.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batches_per_epoch < 1:
             raise ContractViolation("epochs and batches_per_epoch must be >= 1")
-        if self.beta < 0:
-            raise ContractViolation("beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ContractViolation(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
 def _epoch_mean(parts: list[LossBreakdown]) -> LossBreakdown:

@@ -187,7 +187,91 @@ def naive_conv2d(x, w, b):
     return out
 
 
+def loop_conv2d_grad_w(x, g, k):
+    """grad-w of conv2d for cotangent g, one kernel tap at a time."""
+    p = k // 2
+    hh, ww = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gw = np.zeros((g.shape[1], x.shape[1], k, k))
+    for o in range(g.shape[1]):
+        for cc in range(x.shape[1]):
+            for u in range(k):
+                for v in range(k):
+                    gw[o, cc, u, v] = np.sum(g[:, o] * xp[:, cc, u:u + hh, v:v + ww])
+    return gw
+
+
+def loop_conv2d_grad_x(w, g):
+    """grad-x of conv2d for cotangent g: each output pixel scatters its
+    gradient back over the window it read."""
+    co, ci, k, _ = w.shape
+    p = k // 2
+    n, _, hh, ww = g.shape
+    gxp = np.zeros((n, ci, hh + 2 * p, ww + 2 * p))
+    for o in range(co):
+        for cc in range(ci):
+            for u in range(k):
+                for v in range(k):
+                    gxp[:, cc, u:u + hh, v:v + ww] += w[o, cc, u, v] * g[:, o]
+    return gxp[:, :, p:p + hh, p:p + ww]
+
+
+# heights below one block of rows, equal to it, a multiple of it and a
+# multiple plus one, each with a width of its own; then 37x37, whose
+# height (a prime) no block height above 1 divides
+BLOCK_CASES = [(h, h + 3, k)
+               for h in (max(1, ad.BLOCK_ROWS - 3), ad.BLOCK_ROWS, 2 * ad.BLOCK_ROWS,
+                         2 * ad.BLOCK_ROWS + 1)
+               for k in (1, 3, 5, 7)] + [(37, 37, 5)]
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("h,wd,k", BLOCK_CASES)
+    def test_blocked_passes_match_loop_references(self, h, wd, k):
+        rng = np.random.default_rng(50 + 10 * h + k)
+        x = rng.normal(size=(3, 2, h, wd))
+        w = rng.normal(size=(3, 2, k, k))
+        b = rng.normal(size=3)
+        g = rng.normal(size=(3, 3, h, wd))
+        xt, wt, bt = ad.parameter(x), ad.parameter(w), ad.parameter(b)
+        out = ad.conv2d(xt, wt, bt)
+        ad.tsum(ad.mul(out, ad.constant(g))).backward()
+        for got, ref in ((out.value, naive_conv2d(x, w, b)),
+                         (wt.grad, loop_conv2d_grad_w(x, g, k)),
+                         (xt.grad, loop_conv2d_grad_x(w, g)),
+                         (bt.grad, g.sum(axis=(0, 2, 3)))):
+            assert got.shape == ref.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_column_blocks_stay_inside_their_channel(self, k):
+        # columns come through a strided view, which numpy does not bounds-check;
+        # with NaN after each channel, a window that reads past its channel's
+        # slack shows up as a non-finite column entry
+        h, wd = 2 * ad.BLOCK_ROWS + 1, 6
+        flat = ad._flat_pad(np.random.default_rng(70 + k).normal(size=(2, 3, h, wd)), k // 2)
+        fenced = np.full(flat.shape[:2] + (flat.shape[2] + 64,), np.nan)
+        fenced[..., :flat.shape[2]] = flat
+        # each block reuses one buffer, so check it before asking for the next
+        blocks = ad._column_blocks(fenced[..., :flat.shape[2]], k, h, wd + k - 1)
+        assert all(np.isfinite(cols).all() for _, _, cols in blocks)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_operands_and_incoming_gradient_unchanged(self, k):
+        rng = np.random.default_rng(60 + k)
+        x = rng.normal(size=(2, 3, 9, 5))
+        w = rng.normal(size=(4, 3, k, k))
+        g = rng.normal(size=(2, 4, 9, 5))
+        xt, wt, bt = ad.parameter(x), ad.parameter(w), ad.parameter(rng.normal(size=4))
+        out = ad.conv2d(xt, wt, bt)
+        # add hands one gradient array to both operands, so a write into the
+        # incoming gradient would show in the sibling's grad
+        sibling = ad.parameter(np.zeros_like(out.value))
+        ad.tsum(ad.mul(ad.add(out, sibling), ad.constant(g))).backward()
+        np.testing.assert_array_equal(xt.value, x)
+        np.testing.assert_array_equal(wt.value, w)
+        np.testing.assert_array_equal(sibling.grad, g)
+
     def test_forward_matches_naive_loops(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 5, 4))

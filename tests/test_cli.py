@@ -216,7 +216,12 @@ class TestTrain:
                                             ("--widths", ""),
                                             # beta > 0 with no negatives to paste
                                             ("--patch-count", "0"), ("--patch-count", "-1"),
-                                            ("--paste-count", "0")])
+                                            ("--paste-count", "0"),
+                                            # rates that would train on nan, inf or
+                                            # by gradient ascent
+                                            ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+                                            ("--lr-end", "nan"), ("--lr-end", "-1e-3"),
+                                            ("--beta", "nan"), ("--beta", "inf")])
     def test_bad_value_is_a_config_error(self, workspace, tmp_path, flag, value):
         result = RUNNER.invoke(main, [str(a) for a in
                                       TRAIN_ARGS + ["--data", workspace["manifest"],
@@ -585,6 +590,17 @@ class TestToy:
         result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", "0,-1"])
         assert result.exit_code == 2, result.output
         assert "no negative one" in result.output
+
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+                                            ("--lr-end", "nan"), ("--lr-end", "-1e-3"),
+                                            ("--beta", "nan"), ("--beta", "-inf")])
+    def test_bad_rate_or_beta_is_a_config_error(self, tmp_path, flag, value):
+        result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", "0",
+                                      "--n-per-role", "100", "--widths", "4",
+                                      "--steps", "2", flag, value])
+        assert result.exit_code == 2, result.output
+        assert "must be finite and >= 0" in result.output
+        assert not (tmp_path / "report.csv").exists()
 
 
 # per key kind: INI text, flag text, and the values they parse to

@@ -39,6 +39,13 @@ class TestLrSchedule:
         with pytest.raises(ContractViolation):
             LrSchedule(kind="cosine", lr_start=0.1, total_steps=0)
 
+    @pytest.mark.parametrize("field", ["lr_start", "lr_end"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_non_finite_or_negative_rate_rejected(self, field, bad):
+        rates = {"lr_start": 0.1, "lr_end": 0.0, field: bad}
+        with pytest.raises(ContractViolation, match=f"{field} must be finite and >= 0"):
+            LrSchedule(kind="cosine", total_steps=10, **rates)
+
 
 class TestAdam:
     def test_first_step_magnitude(self):

@@ -147,6 +147,11 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation):
             TrainConfig(epochs=1, batches_per_epoch=1, beta=-0.1)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ContractViolation, match="beta must be finite and >= 0"):
+            TrainConfig(epochs=1, batches_per_epoch=1, beta=beta)
+
 
 class TestScoreImage:
     IMAGE = np.random.default_rng(0).uniform(size=(3, 8, 9))
