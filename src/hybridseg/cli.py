@@ -24,6 +24,7 @@ from . import config as cfgmod
 from .data import (
     AugmentConfig,
     SceneConfig,
+    TOY_CLASSES,
     as_grid,
     gen_negative_patches,
     gen_scenes,
@@ -357,11 +358,11 @@ _command("eval", run_eval, "Compute detection metrics, closed mIoU, and two-fold
 
 
 def toy_grid_batch(points: np.ndarray, class_labels: np.ndarray,
-                   roles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack a point set into one (1, 2, N, 1) batch with matching maps."""
-    n = points.shape[0]
-    return (as_grid(points), class_labels.reshape(1, n, 1).astype(np.int64),
-            roles.reshape(1, n, 1))
+                   roles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack a point set into one (1, 2, N, 1) batch and its (1, N, 1) label
+    map, in which every outlier point is labelled TOY_CLASSES."""
+    labels = np.where(roles == PixelRole.OUTLIER, TOY_CLASSES, class_labels)
+    return as_grid(points), labels.reshape(1, -1, 1).astype(np.int64)
 
 
 def run_toy_seed(seed: int, n_per_role: int, widths: tuple[int, ...], steps: int,
@@ -373,7 +374,8 @@ def run_toy_seed(seed: int, n_per_role: int, widths: tuple[int, ...], steps: int
     """
     train_set, test_set = gen_toy2d(seed, n_per_role)
     params = init_params(NetworkConfig(input_channels=2, widths=widths,
-                                       num_classes=2, kernel_size=1, seed=seed))
+                                       num_classes=TOY_CLASSES, kernel_size=1,
+                                       seed=seed))
     batch = toy_grid_batch(train_set.points, train_set.class_labels, train_set.roles)
     tcfg = TrainConfig(
         epochs=steps, batches_per_epoch=1, beta=beta, seed=seed,

@@ -40,10 +40,10 @@ from .rasters import (ManifestRow, read_manifest, read_pgm, read_ppm, write_mani
 class ToyPointSet:
     """Labeled 2-D points.
 
-    ``class_labels`` holds the inlier class (0/1) where ``roles == INLIER``
-    and IGNORE_LABEL elsewhere. ``unseen`` marks test anomalies lying in the
-    direction sector that training negatives never cover (plus the far
-    cluster); it is all-False for train sets.
+    ``class_labels`` holds the inlier class (0..TOY_CLASSES-1) where
+    ``roles == INLIER`` and IGNORE_LABEL elsewhere. ``unseen`` marks test
+    anomalies lying in the direction sector that training negatives never
+    cover (plus the far cluster); it is all-False for train sets.
     """
 
     points: np.ndarray        # (N, 2) float64
@@ -61,6 +61,7 @@ class ToyPointSet:
 
 
 TOY_INLIER_MEANS = ((-2.0, 0.0), (2.0, 0.0))
+TOY_CLASSES = len(TOY_INLIER_MEANS)  # one inlier class per blob
 TOY_INLIER_SIGMA = 0.5
 TOY_ANNULUS = (4.0, 5.0)
 TOY_CLUSTER_CENTER = (0.0, -6.0)
@@ -92,40 +93,35 @@ def gen_toy2d(seed: int, n_per_role: int = 200) -> tuple[ToyPointSet, ToyPointSe
     if n_per_role < 100:
         raise ContractViolation("n_per_role must be >= 100")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    n_in = TOY_CLASSES * n_per_role
 
     def inliers(r):
         pts = [_blob(r, n_per_role, m, TOY_INLIER_SIGMA) for m in TOY_INLIER_MEANS]
-        labels = np.repeat(np.arange(2), n_per_role)
+        labels = np.repeat(np.arange(TOY_CLASSES), n_per_role)
         return np.concatenate(pts), labels
+
+    def point_set(points, labels, unseen):
+        return ToyPointSet(
+            points=points,
+            class_labels=np.concatenate([labels, np.full(n_per_role, IGNORE_LABEL)]),
+            roles=np.concatenate([np.zeros(n_in, dtype=np.uint8),
+                                  np.full(n_per_role, PixelRole.OUTLIER, dtype=np.uint8)]),
+            unseen=unseen)
 
     train_pts, train_labels = inliers(rng)
     negatives = _annulus_points(rng, n_per_role, 0.0, np.pi)
-    train = ToyPointSet(
-        points=np.concatenate([train_pts, negatives]),
-        class_labels=np.concatenate([train_labels,
-                                     np.full(n_per_role, IGNORE_LABEL)]),
-        roles=np.concatenate([np.zeros(2 * n_per_role, dtype=np.uint8),
-                              np.full(n_per_role, PixelRole.OUTLIER, dtype=np.uint8)]),
-        unseen=np.zeros(3 * n_per_role, dtype=bool),
-    )
+    train = point_set(np.concatenate([train_pts, negatives]), train_labels,
+                      np.zeros(n_in + n_per_role, dtype=bool))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     test_pts, test_labels = inliers(rng)
     n_cluster = int(round(TOY_CLUSTER_FRACTION * n_per_role))
     ring = _annulus_points(rng, n_per_role - n_cluster, 0.0, 2.0 * np.pi)
     cluster = _blob(rng, n_cluster, TOY_CLUSTER_CENTER, TOY_CLUSTER_SIGMA)
-    anomalies = np.concatenate([ring, cluster])
     ring_unseen = np.arctan2(ring[:, 1], ring[:, 0]) < 0.0  # lower half-plane
-    test = ToyPointSet(
-        points=np.concatenate([test_pts, anomalies]),
-        class_labels=np.concatenate([test_labels,
-                                     np.full(n_per_role, IGNORE_LABEL)]),
-        roles=np.concatenate([np.zeros(2 * n_per_role, dtype=np.uint8),
-                              np.full(n_per_role, PixelRole.OUTLIER, dtype=np.uint8)]),
-        unseen=np.concatenate([np.zeros(2 * n_per_role, dtype=bool),
-                               ring_unseen,
-                               np.ones(n_cluster, dtype=bool)]),
-    )
+    test = point_set(np.concatenate([test_pts, ring, cluster]), test_labels,
+                     np.concatenate([np.zeros(n_in, dtype=bool), ring_unseen,
+                                     np.ones(n_cluster, dtype=bool)]))
     return train, test
 
 
@@ -216,23 +212,25 @@ def render_texture(rng: np.random.Generator, h: int, w: int,
 
 @dataclass(frozen=True)
 class SceneSample:
-    """One dense sample: image, per-pixel labels, per-pixel roles.
+    """One dense sample: image and per-pixel labels.
 
     Labels use 0..K-1 for inlier classes, K for anomalous pixels and
     IGNORE_LABEL for pixels excluded from both training and evaluation.
-    ``distance`` (optional, meters) supports range-binned evaluation.
+    ``roles`` holds the role mask of generated and loaded scenes; training
+    crops carry none. ``distance`` (optional, meters) supports range-binned
+    evaluation.
     """
 
     image: np.ndarray           # (3, H, W) float64 in [0, 1]
     labels: np.ndarray          # (H, W) int
-    roles: np.ndarray           # (H, W) uint8 PixelRole
+    roles: np.ndarray | None = None     # (H, W) uint8 PixelRole
     distance: np.ndarray | None = None  # (H, W) float64, meters
 
     def __post_init__(self):
         if self.image.ndim != 3 or self.image.shape[0] != 3:
             raise ContractViolation("image must be (3, H, W)")
         hw = self.image.shape[1:]
-        if self.labels.shape != hw or self.roles.shape != hw:
+        if self.labels.shape != hw or (self.roles is not None and self.roles.shape != hw):
             raise ContractViolation("labels/roles must match image spatial dims")
 
 
@@ -390,16 +388,15 @@ def paste_negatives(sample: SceneSample, patches: list[NegativePatch],
                     cfg: AugmentConfig, rng: np.random.Generator) -> SceneSample:
     """Alpha-composite `paste_count` random patches fully inside the crop.
 
-    Pasted pixels become OUTLIER in both labels and roles; pastes may overlap
-    each other but never cross the image border.
+    Pasted pixels get the outlier label K; pastes may overlap each other but
+    never cross the image border. The result carries no roles.
     """
     if cfg.paste_count == 0 or not patches:
         return replace(sample, image=sample.image.copy(),
-                       labels=sample.labels.copy(), roles=sample.roles.copy())
+                       labels=sample.labels.copy(), roles=None)
     height, width = sample.labels.shape
     image = sample.image.copy()
     labels = sample.labels.copy()
-    roles = sample.roles.copy()
     out = outlier_label(cfg.num_classes)
     for _ in range(cfg.paste_count):
         patch = patches[int(rng.integers(len(patches)))]
@@ -412,18 +409,18 @@ def paste_negatives(sample: SceneSample, patches: list[NegativePatch],
         image[(slice(None),) + view] = np.where(patch.alpha, patch.image,
                                                 image[(slice(None),) + view])
         labels[view] = np.where(patch.alpha, out, labels[view])
-        roles[view] = np.where(patch.alpha, np.uint8(PixelRole.OUTLIER), roles[view])
-    return SceneSample(image=image, labels=labels, roles=roles, distance=None)
+    return SceneSample(image=image, labels=labels)
 
 
 def augment(sample: SceneSample, cfg: AugmentConfig,
             rng: np.random.Generator) -> SceneSample:
     """Scale-jitter, random horizontal flip, random square crop.
 
-    Labels and roles follow the image through identical geometry
-    (nearest-neighbor where the image is bilinear). If the jittered image is
-    smaller than the crop, the factor is re-drawn a bounded number of times
-    and the final fallback reflects the borders out to crop size.
+    Labels follow the image through identical geometry (nearest-neighbor
+    where the image is bilinear); the crop carries no roles or distance.
+    If the jittered image is smaller than the crop, the factor is re-drawn
+    a bounded number of times and the final fallback reflects the borders
+    out to crop size.
     """
     h, w = sample.labels.shape
     lo, hi = cfg.scale_jitter_range
@@ -434,7 +431,6 @@ def augment(sample: SceneSample, cfg: AugmentConfig,
             break
     image = _resize_bilinear(sample.image, new_h, new_w)
     labels = _resize_nearest(sample.labels, new_h, new_w)
-    roles = _resize_nearest(sample.roles, new_h, new_w)
 
     while new_h < cfg.crop_size or new_w < cfg.crop_size:
         # reflect can add at most dim-1 rows/cols per pass, so pad in rounds
@@ -443,35 +439,31 @@ def augment(sample: SceneSample, cfg: AugmentConfig,
         pads = ((0, pad_h), (0, pad_w))
         image = np.pad(image, ((0, 0),) + pads, mode="reflect")
         labels = np.pad(labels, pads, mode="reflect")
-        roles = np.pad(roles, pads, mode="reflect")
         new_h, new_w = labels.shape
 
     if rng.uniform() < cfg.hflip_prob:
         image = image[:, :, ::-1]
         labels = labels[:, ::-1]
-        roles = roles[:, ::-1]
 
     y0 = int(rng.integers(0, new_h - cfg.crop_size + 1))
     x0 = int(rng.integers(0, new_w - cfg.crop_size + 1))
     view = np.s_[y0:y0 + cfg.crop_size, x0:x0 + cfg.crop_size]
     return SceneSample(image=np.ascontiguousarray(image[(slice(None),) + view]),
-                       labels=np.ascontiguousarray(labels[view]),
-                       roles=np.ascontiguousarray(roles[view]),
-                       distance=None)
+                       labels=np.ascontiguousarray(labels[view]))
 
 
 def mixed_batch(scenes: list[SceneSample], patches: list[NegativePatch],
                 cfg: AugmentConfig, rng: np.random.Generator,
-                batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble one training batch of augmented crops with pasted negatives."""
-    images, labels, roles = [], [], []
+                batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble one (images, labels) training batch of augmented crops with
+    pasted negatives."""
+    images, labels = [], []
     for _ in range(batch_size):
         scene = scenes[int(rng.integers(len(scenes)))]
         crop = paste_negatives(augment(scene, cfg, rng), patches, cfg, rng)
         images.append(crop.image)
         labels.append(crop.labels)
-        roles.append(crop.roles)
-    return np.stack(images), np.stack(labels), np.stack(roles)
+    return np.stack(images), np.stack(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +506,9 @@ def split_rows(manifest, split: str) -> list[ManifestRow]:
 def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     """Read one row's rasters: all of the image's size, labels in
     0..num_classes or IGNORE_LABEL, roles in 0..2, a class below
-    num_classes on every inlier pixel and num_classes on every outlier."""
+    num_classes on every inlier pixel and num_classes on every outlier.
+    An ignore-role pixel loads as IGNORE_LABEL whatever its label, so the
+    labels alone say which pixels training and evaluation use."""
     root = Path(root)
     image = read_ppm(root / row.image).astype(np.float64).transpose(2, 0, 1) / 255.0
     labels = read_pgm(root / row.label).astype(np.int64)
@@ -541,4 +535,5 @@ def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     if invalid.any():
         raise DataFormatError(f"{row.image}: outlier pixels labelled {labels[invalid].min()}, "
                               f"not {outlier_label(num_classes)}")
+    labels[roles == PixelRole.IGNORE] = IGNORE_LABEL
     return SceneSample(image=image, labels=labels, roles=roles, distance=distance)

@@ -1,12 +1,14 @@
 """The training objective over mixed-content batches: `compound_loss`.
 
-Pixels carry one of three roles. Inlier pixels drive the standard per-pixel
-cross-entropy and a binary term pulling the dataset posterior toward 1.
-Outlier pixels drive the mirrored binary term and an energy term that pushes
-the per-pixel log-sum-exp of the logits down; its inlier counterpart (raise
-the true-class logit) is already subsumed by the cross-entropy, so it has no
-term of its own. A modulation factor scales how hard the outlier
-terms weigh against the primary classification task.
+The label map alone sorts the pixels. With K logit channels, labels 0..K-1
+are inlier pixels, K marks outlier pixels and IGNORE_LABEL the rest. Inlier
+pixels drive the standard per-pixel cross-entropy and a binary term pulling
+the dataset posterior toward 1. Outlier pixels drive the mirrored binary
+term and an energy term that pushes the per-pixel log-sum-exp of the logits
+down; its inlier counterpart (raise the true-class logit) is already
+subsumed by the cross-entropy, so it has no term of its own. A modulation
+factor scales how hard the outlier terms weigh against the primary
+classification task.
 
 Every term is the mean over its own pixel set across the whole batch, and an
 empty set contributes exactly zero. Ignore pixels touch nothing.
@@ -15,20 +17,21 @@ empty set contributes exactly zero. Ignore pixels touch nothing.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .labels import PixelRole
+from .labels import IGNORE_LABEL
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Scalar loss components of one batch, plus pixel counts per role.
+    """Scalar loss components of one batch, plus pixel counts per pixel set.
 
     ``total = cls + posterior_in + beta * (posterior_out + likelihood_out)``.
     Every pixel that is neither inlier nor outlier counts as ignore.
@@ -46,7 +49,7 @@ class LossBreakdown:
     CSV_FIELDS = ("cls", "posterior_in", "posterior_out", "likelihood_out", "total")
 
 
-def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels, roles,
+def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels,
                   beta: float) -> tuple[ad.Tensor, LossBreakdown]:
     """Full training objective and its per-term breakdown.
 
@@ -58,25 +61,24 @@ def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels, roles
 
     total = cls + posterior_in + beta * (posterior_out + likelihood_out)
     """
-    if beta < 0:
-        raise ContractViolation("beta must be >= 0")
-    roles = np.asarray(roles)
-    if roles.ndim != 3:
-        raise ContractViolation("roles must be (N,H,W)")
-    inlier = (roles == PixelRole.INLIER)[:, None]
-    outlier = (roles == PixelRole.OUTLIER)[:, None]
-    n_in, n_out = int(inlier.sum()), int(outlier.sum())
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ContractViolation(f"beta must be finite and >= 0, got {beta!r}")
+    n, k, h, w = logits.value.shape
     labels = np.asarray(labels)
-    picked = labels[inlier[:, 0]]
-    if n_in and (picked.min() < 0 or picked.max() >= logits.value.shape[1]):
-        raise ContractViolation("inlier pixels carry out-of-range class labels")
+    if labels.shape != (n, h, w):
+        raise ContractViolation(f"labels must be {(n, h, w)}, got {labels.shape}")
+    inlier = ((labels >= 0) & (labels < k))[:, None]
+    outlier = (labels == k)[:, None]
+    if not (inlier[:, 0] | outlier[:, 0] | (labels == IGNORE_LABEL)).all():
+        raise ContractViolation(f"labels must be in 0..{k} or {IGNORE_LABEL}")
+    n_in, n_out = int(inlier.sum()), int(outlier.sum())
     if not n_in:
         log.warning("classification loss over zero inlier pixels, returning 0")
 
     # one log-sum-exp node serves both the cross-entropy and the outlier
-    # energy; the role masks are disjoint, so its gradient sums one nonzero
-    # term per pixel. Non-inlier pixels hold sentinel labels: point them at
-    # channel 0, where the inlier mask drops them.
+    # energy; the inlier and outlier masks are disjoint, so its gradient sums
+    # one nonzero term per pixel. Non-inlier pixels hold labels K and 255:
+    # point them at channel 0, where the inlier mask drops them.
     lse = ad.channel_log_sum_exp(logits)
     nll = lse - ad.take_channel(logits, np.where(inlier[:, 0], labels, 0))
     cls = ad.masked_mean(nll, inlier)
@@ -92,6 +94,6 @@ def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels, roles
         total=total.item(),
         inlier_pixels=n_in,
         outlier_pixels=n_out,
-        ignore_pixels=roles.size - n_in - n_out,
+        ignore_pixels=labels.size - n_in - n_out,
     )
     return total, breakdown

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,25 +40,21 @@ class TrainConfig:
 
 
 def _epoch_mean(parts: list[LossBreakdown]) -> LossBreakdown:
-    def mean(name):
-        return float(np.mean([getattr(p, name) for p in parts]))
-
-    return LossBreakdown(
-        cls=mean("cls"), posterior_in=mean("posterior_in"),
-        posterior_out=mean("posterior_out"), likelihood_out=mean("likelihood_out"),
-        total=mean("total"),
-        inlier_pixels=sum(p.inlier_pixels for p in parts),
-        outlier_pixels=sum(p.outlier_pixels for p in parts),
-        ignore_pixels=sum(p.ignore_pixels for p in parts),
-    )
+    """Mean of each loss term and sum of each pixel count over an epoch."""
+    summary = {}
+    for f in fields(LossBreakdown):
+        values = [getattr(p, f.name) for p in parts]
+        summary[f.name] = float(np.mean(values)) if f.type == "float" else sum(values)
+    return LossBreakdown(**summary)
 
 
 def train(params: ModelParams, make_batch,
           cfg: TrainConfig) -> tuple[ModelParams, list[LossBreakdown]]:
     """Fit `params` in place; returns (params, per-epoch mean loss breakdown).
 
-    ``make_batch(rng)`` must yield ``(images, labels, roles)`` arrays for one
-    minibatch; it is called with a fresh deterministic rng per batch.
+    ``make_batch(rng)`` must yield ``(images, labels)`` arrays for one
+    minibatch, labels as `compound_loss` reads them; it is called with a
+    fresh deterministic rng per batch.
     """
     opt = Adam([tensor for _, tensor in params.trainable()], cfg.schedule)
     opt.step_count = cfg.start_step
@@ -70,10 +66,10 @@ def train(params: ModelParams, make_batch,
             for index in range(cfg.batches_per_epoch):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, index]))
-                images, labels, roles = make_batch(rng)
+                images, labels = make_batch(rng)
                 maps = forward(params, images, training=True)
                 total, breakdown = compound_loss(
-                    maps.logits, maps.dataset_posterior, labels, roles, cfg.beta)
+                    maps.logits, maps.dataset_posterior, labels, cfg.beta)
                 if not np.isfinite(breakdown.total):
                     raise NumericFailure(f"non-finite loss at epoch {epoch}")
                 opt.zero_grad()

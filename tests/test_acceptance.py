@@ -27,7 +27,7 @@ from hybridseg.data import (
     mixed_batch,
 )
 from hybridseg.inference import SCORE_VARIANTS, score_image
-from hybridseg.labels import IGNORE_LABEL, PixelRole
+from hybridseg.labels import IGNORE_LABEL
 from hybridseg.losses import compound_loss
 from hybridseg.metrics import (
     auroc,
@@ -106,16 +106,14 @@ def _mixed_sample(rng):
     patches = gen_negative_patches(0, 4, (2, 4))
     crop = paste_negatives(augment(scene, cfg, rng), patches, cfg, rng)
     labels = crop.labels.copy()
-    roles = crop.roles.copy()
-    roles[0, :2] = PixelRole.IGNORE
     labels[0, :2] = IGNORE_LABEL
-    return crop.image[None], labels[None], roles[None]
+    return crop.image[None], labels[None]
 
 
 def test_ac02_loss_gradients_match_finite_differences(report):
     start = time.perf_counter()
     rng = np.random.default_rng(2)
-    images, labels, roles = _mixed_sample(rng)
+    images, labels = _mixed_sample(rng)
     params = init_params(NetworkConfig(input_channels=3, widths=(5, 7),
                                        num_classes=3, seed=2))
     buffers = [arr for name, arr in params.named_arrays() if "run_" in name]
@@ -131,14 +129,14 @@ def test_ac02_loss_gradients_match_finite_differences(report):
         def loss_value():
             maps = forward(params, images, training=True)
             total, _ = compound_loss(maps.logits, maps.dataset_posterior,
-                                     labels, roles, beta)
+                                     labels, beta)
             restore()
             return float(total.value)
 
         params.zero_grad()
         maps = forward(params, images, training=True)
         total, _ = compound_loss(maps.logits, maps.dataset_posterior,
-                                 labels, roles, beta)
+                                 labels, beta)
         total.backward()
         restore()
         analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))

@@ -181,11 +181,11 @@ class TestTrain:
 
         def poisoned(*args, **kwargs):
             calls["n"] += 1
-            images, labels, roles = clean(*args, **kwargs)
+            images, labels = clean(*args, **kwargs)
             if calls["n"] > 2:  # the first epoch (2 batches) stays finite
                 images = images.copy()
                 images[0, 0, 0, 0] = math.nan
-            return images, labels, roles
+            return images, labels
 
         monkeypatch.setattr(cli, "mixed_batch", poisoned)
         result = RUNNER.invoke(main, [str(a) for a in
@@ -470,6 +470,29 @@ class TestEval:
         expected = average_precision(np.concatenate(scores), np.concatenate(truth))
         assert rows[("ap/hybrid", "")] == [repr(expected), "ok"]
 
+    def test_ignore_role_on_a_labelled_pixel_is_left_out(self, workspace, tmp_path):
+        """Role 2 on pixels labelled 0..K gives the metrics of label 255 there."""
+        metrics = []
+        for relabel in (False, True):
+            scenes = tmp_path / f"scenes_{relabel}"
+            shutil.copytree(workspace["manifest"].parent, scenes)
+            labels = read_pgm(scenes / "test_0000_label.pgm").copy()
+            roles = read_pgm(scenes / "test_0000_role.pgm").copy()
+            dropped = labels == 3
+            dropped[:2] = True
+            assert np.any(labels[dropped] < 3) and np.any(labels[dropped] == 3)
+            roles[dropped] = 2
+            if relabel:
+                labels[dropped] = 255
+            write_pgm(scenes / "test_0000_label.pgm", labels)
+            write_pgm(scenes / "test_0000_role.pgm", roles)
+            run_ok(["eval", "--data", scenes / "manifest.csv", "--scores",
+                    workspace["run"] / "scores", "--out", tmp_path / f"m_{relabel}.csv"])
+            metrics.append((tmp_path / f"m_{relabel}.csv").read_text())
+        run_ok(["eval", "--data", workspace["manifest"], "--scores", workspace["run"] / "scores",
+                "--out", tmp_path / "m.csv"])
+        assert metrics[0] == metrics[1] != (tmp_path / "m.csv").read_text()
+
     def test_repeated_variant_is_evaluated_once(self, workspace, tmp_path):
         run_ok(["eval", "--data", workspace["manifest"], "--scores", workspace["run"] / "scores",
                 "--out", tmp_path / "once" / "m.csv", "--variants", "hybrid"])
@@ -580,6 +603,12 @@ class TestToy:
             for value in (auroc_s, ap_s, unseen_s):
                 assert 0.0 <= float(value) <= 1.0
 
+    def test_grid_batch_labels_outliers_k(self):
+        train_set, _ = cli.gen_toy2d(0, 100)
+        grid, labels = cli.toy_grid_batch(train_set.points, train_set.class_labels,
+                                          train_set.roles)
+        assert grid.shape == (1, 2, 300, 1) and labels.shape == (1, 300, 1)
+        np.testing.assert_array_equal(labels.ravel(), np.repeat([0, 1, 2], 100))
 
     def test_no_seeds_is_a_config_error(self, tmp_path):
         result = RUNNER.invoke(main, ["toy", "--out", str(tmp_path), "--seeds", ""])

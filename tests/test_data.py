@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ class TestPaste:
         cfg = AugmentConfig(paste_count=0, crop_size=32)
         out = paste_negatives(scene, gen_negative_patches(0, 3, (4, 6)), cfg,
                               np.random.default_rng(0))
-        assert_samples_equal(out, scene)
+        assert_samples_equal(out, replace(scene, roles=None))  # crops carry no roles
         assert out.image is not scene.image and out.labels is not scene.labels
 
     def test_pasted_pixels_follow_the_alpha_masks(self):
@@ -216,8 +218,8 @@ class TestPaste:
             y0 = int(rng.integers(0, 32 - ph + 1))
             x0 = int(rng.integers(0, 32 - pw + 1))
             expected[y0:y0 + ph, x0:x0 + pw] |= patch.alpha
-        np.testing.assert_array_equal(out.roles == PixelRole.OUTLIER, expected)
         np.testing.assert_array_equal(out.labels == 3, expected)
+        assert out.roles is None
         np.testing.assert_array_equal(out.image[:, ~expected], scene.image[:, ~expected])
         assert expected.any()
         assert not np.array_equal(out.image[:, expected], scene.image[:, expected])
@@ -244,7 +246,7 @@ class TestAugment:
         cfg = AugmentConfig(scale_jitter_range=(1.0, 1.0), hflip_prob=0.0,
                             crop_size=32, paste_count=0)
         out = augment(scene, cfg, np.random.default_rng(0))
-        assert_samples_equal(out, scene)
+        assert_samples_equal(out, replace(scene, roles=None))
 
     def test_forced_flip_mirrors_all_rasters(self):
         scene = _train_scene()
@@ -253,7 +255,7 @@ class TestAugment:
         out = augment(scene, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out.image, scene.image[:, :, ::-1])
         np.testing.assert_array_equal(out.labels, scene.labels[:, ::-1])
-        np.testing.assert_array_equal(out.roles, scene.roles[:, ::-1])
+        assert out.roles is None and out.distance is None
 
     def test_exact_doubling_replicates_labels(self):
         scene = _train_scene()
@@ -273,14 +275,16 @@ class TestAugment:
         assert set(np.unique(out.labels)) <= {0, 1, 2}
 
     def test_labels_and_roles_share_geometry(self):
+        # the masks the loss derives from cropped labels are the crops of the
+        # role masks: augment the roles as labels with the same rng stream
         scene = gen_scene(np.random.default_rng(1), SceneConfig(size=32), True)
+        as_labels = replace(scene, labels=scene.roles.astype(np.int64))
         cfg = AugmentConfig(crop_size=24, paste_count=0)
         for seed in range(5):
             out = augment(scene, cfg, np.random.default_rng(seed))
-            np.testing.assert_array_equal(out.roles == PixelRole.OUTLIER,
-                                          out.labels == 3)
-            inlier = out.roles == PixelRole.INLIER
-            assert np.all(out.labels[inlier] < 3)
+            roles = augment(as_labels, cfg, np.random.default_rng(seed)).labels
+            np.testing.assert_array_equal(roles == PixelRole.OUTLIER, out.labels == 3)
+            np.testing.assert_array_equal(roles == PixelRole.INLIER, out.labels < 3)
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
@@ -296,12 +300,12 @@ class TestMixedBatch:
         scenes = [_train_scene(seed=i) for i in range(3)]
         patches = gen_negative_patches(0, 8, (4, 6))
         cfg = AugmentConfig(crop_size=24, paste_count=2)
-        images, labels, roles = mixed_batch(scenes, patches, cfg,
-                                            np.random.default_rng(0), batch_size=4)
+        images, labels = mixed_batch(scenes, patches, cfg,
+                                     np.random.default_rng(0), batch_size=4)
         assert images.shape == (4, 3, 24, 24)
-        assert labels.shape == roles.shape == (4, 24, 24)
-        assert (roles == PixelRole.OUTLIER).any()
-        np.testing.assert_array_equal(roles == PixelRole.OUTLIER, labels == 3)
+        assert labels.shape == (4, 24, 24)
+        assert (labels == 3).any()  # pasted negatives on outlier-free scenes
+        assert set(np.unique(labels)) <= {0, 1, 2, 3}
 
 
 class TestSceneStorage:
@@ -394,6 +398,14 @@ class TestSceneStorage:
         row = self._scene_with_pixel(tmp_path, label, PixelRole.OUTLIER)
         with pytest.raises(DataFormatError, match=f"outlier pixels labelled {label}, not 3"):
             load_scene(tmp_path, row, 3)
+
+    @pytest.mark.parametrize("label", [0, 2, 3])  # 0, K-1 and K
+    def test_load_relabels_an_ignore_role_as_255(self, tmp_path, label):
+        row = self._scene_with_pixel(tmp_path, label, PixelRole.IGNORE)
+        loaded = load_scene(tmp_path, row, 3)
+        assert loaded.labels[5, 5] == IGNORE_LABEL
+        assert loaded.roles[5, 5] == PixelRole.IGNORE
+        assert (loaded.labels != IGNORE_LABEL).sum() == loaded.labels.size - 1
 
     def test_load_rejects_an_inlier_role_with_the_outlier_label(self, tmp_path):
         row = self._scene_with_pixel(tmp_path, 3, PixelRole.INLIER)

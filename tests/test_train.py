@@ -13,10 +13,11 @@ from hybridseg.data import (
 )
 from hybridseg.errors import ContractViolation, TrainingDiverged
 from hybridseg.inference import SCORE_VARIANTS, score_image
-from hybridseg.labels import PixelRole
+from hybridseg.labels import IGNORE_LABEL
+from hybridseg.losses import LossBreakdown
 from hybridseg.network import NetworkConfig, forward, init_params
 from hybridseg.optim import LrSchedule
-from hybridseg.train import TrainConfig, train
+from hybridseg.train import TrainConfig, _epoch_mean, train
 
 NET = NetworkConfig(input_channels=3, widths=(4, 6), num_classes=3, seed=0)
 
@@ -79,15 +80,14 @@ class TestTrainLoop:
     def test_zero_beta_treats_outliers_like_ignore(self):
         # with beta = 0 the outlier terms carry zero weight, so relabeling
         # outlier pixels as ignore must not change a single bit
-        def batch_with_roles(as_ignore):
+        def batch_with_labels(as_ignore):
             base = scene_batcher(paste_count=1)
 
             def make_batch(rng):
-                images, labels, roles = base(rng)
+                images, labels = base(rng)
                 if as_ignore:
-                    roles = np.where(roles == PixelRole.OUTLIER,
-                                     np.uint8(PixelRole.IGNORE), roles)
-                return images, labels, roles
+                    labels = np.where(labels == NET.num_classes, IGNORE_LABEL, labels)
+                return images, labels
 
             return make_batch
 
@@ -95,7 +95,7 @@ class TestTrainLoop:
         for as_ignore in (False, True):
             params = init_params(NET)
             cfg = TrainConfig(epochs=2, batches_per_epoch=3, beta=0.0, seed=2)
-            _, history = train(params, batch_with_roles(as_ignore), cfg)
+            _, history = train(params, batch_with_labels(as_ignore), cfg)
             results.append((params, history))
         assert params_equal(results[0][0], results[1][0])
         assert results[0][1][0].outlier_pixels > 0
@@ -111,11 +111,11 @@ class TestTrainLoop:
 
         def poisoned(rng):
             calls["n"] += 1
-            images, labels, roles = base(rng)
+            images, labels = base(rng)
             if calls["n"] > 3:  # first epoch stays clean
                 images = images.copy()
                 images[0, 0, 0, 0] = np.nan
-            return images, labels, roles
+            return images, labels
 
         params = init_params(NET)
         cfg = TrainConfig(epochs=3, batches_per_epoch=3, seed=7)
@@ -151,6 +151,11 @@ class TestTrainLoop:
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ContractViolation, match="beta must be finite and >= 0"):
             TrainConfig(epochs=1, batches_per_epoch=1, beta=beta)
+
+    def test_epoch_mean_averages_terms_and_sums_pixel_counts(self):
+        parts = [LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 10, 20, 30),
+                 LossBreakdown(2.0, 4.0, 6.0, 8.0, 10.0, 1, 2, 3)]
+        assert _epoch_mean(parts) == LossBreakdown(1.5, 3.0, 4.5, 6.0, 7.5, 11, 22, 33)
 
 
 class TestScoreImage:
