@@ -22,10 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+from .scoring import log_sum_exp
 
 # Output rows per conv2d GEMM block: at 32 channels, 3x3 and 64 px a block's
 # columns are 288 x 528 float64, 1.2 MB, which stay in a 2 MiB L2.
 BLOCK_ROWS = 8
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch_norm's defaults
 
 
 class Tensor:
@@ -356,15 +358,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               running_var: np.ndarray, training: bool, momentum: float = BN_MOMENTUM,
+               eps: float = BN_EPS) -> Tensor:
     """Per-channel affine normalization of NCHW input.
 
-    Training mode normalizes with biased batch statistics and folds them into
-    the running averages in place; eval mode uses the running averages, as
-    one scale ``gamma*inv`` and one shift ``beta - mu*gamma*inv`` per channel.
-    Channel sums are einsum contractions. Training makes one centred copy
-    ``xhat``, normalized in place and kept for the backward pass.
+    Training mode normalizes with biased batch statistics, folds them into
+    the running averages in place, and keeps one centred copy ``xhat``,
+    normalized in place, for backward; channel sums are einsum contractions.
+    Eval mode is one scale ``gamma*inv`` and shift ``beta - mu*gamma*inv``
+    per channel, which ``network.forward`` folds into each backbone conv.
     """
     xv = x.value
     if xv.ndim != 4:
@@ -425,8 +427,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 def channel_log_sum_exp(x: Tensor) -> Tensor:
     """Per-pixel log-sum-exp over the channel axis of NCHW input; keeps dims."""
     xv = x.value
-    m = xv.max(axis=1, keepdims=True)
-    out_val = m + np.log(np.exp(xv - m).sum(axis=1, keepdims=True))
+    out_val = np.expand_dims(log_sum_exp(xv, axis=1), 1)
 
     def backprop(g):
         softmax = np.exp(xv - out_val)

@@ -227,13 +227,15 @@ def _variants(cfg: dict) -> list[str]:
 
 
 def run_score(cfg: dict) -> None:
-    params, _ = load_checkpoint(cfg["checkpoint"])
-    k = params.config.num_classes
     variants = _variants(cfg)
     try:
         tau = float(cfg["tau"]) if cfg["tau"] != "" else None
     except ValueError:
         raise ConfigError(f"key tau: cannot parse {cfg['tau']!r} as float") from None
+    if tau is not None and np.isnan(tau):  # no pixel would be an outlier
+        raise ConfigError("tau must not be NaN")
+    params, _ = load_checkpoint(cfg["checkpoint"])
+    k = params.config.num_classes
 
     manifest = Path(cfg["data"])
     rows = split_rows(manifest, cfg["split"])
@@ -319,6 +321,8 @@ def run_eval(cfg: dict) -> None:
     k = cfg["num_classes"]
     if not 2 <= k < IGNORE_LABEL:  # the range `train` accepts
         raise ConfigError(f"num_classes must be in 2..{IGNORE_LABEL - 1}")
+    if np.isnan(cfg["target_tpr"]):  # no threshold would reach it
+        raise ConfigError("target_tpr must not be NaN")
     variants = _variants(cfg)
     split = cfg["split"]
     edges = cfgmod.parse_float_list(cfg["bins"])

@@ -26,8 +26,11 @@ from .labels import IGNORE_LABEL
 
 
 def _flat(scores, truth) -> tuple[np.ndarray, np.ndarray]:
-    return (np.asarray(scores, dtype=float).ravel(),
-            np.asarray(truth).ravel().astype(bool, copy=False))
+    """Flat scores, kept in their own float dtype (else float64), and bool truth."""
+    scores = np.asarray(scores).ravel()
+    if not np.issubdtype(scores.dtype, np.floating):
+        scores = scores.astype(float)
+    return scores, np.asarray(truth).ravel().astype(bool, copy=False)
 
 
 @dataclass(frozen=True)

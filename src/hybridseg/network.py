@@ -32,7 +32,7 @@ from .scoring import POSTERIOR_EPS
 CHECKPOINT_MAGIC = b"DHCK"
 CHECKPOINT_VERSION = 2
 # the only values v1 may declare: the autodiff.batch_norm defaults forward uses
-V1_BATCH_NORM = {"bn_momentum": 0.1, "bn_eps": 1e-5}
+V1_BATCH_NORM = {"bn_momentum": ad.BN_MOMENTUM, "bn_eps": ad.BN_EPS}
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,22 @@ class ForwardMaps:
 
 def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
             training: bool = False) -> ForwardMaps:
-    """Run the model; raises NumericFailure if any output is non-finite."""
+    """Run the model; raises NumericFailure if any output is non-finite. Eval
+    mode folds each stage's batch-norm into constants: conv weights and a bias."""
     x = image if isinstance(image, ad.Tensor) else ad.constant(image)
     c = params.config.input_channels
     if x.value.ndim != 4 or x.value.shape[1] != c:
         raise ContractViolation(f"expected (N,{c},H,W) input, got {x.value.shape}")
     t = x
     for st in params.stages:
-        t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
-                                  st.run_var, training=training))
+        if training:
+            t = ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
+                              st.run_var, training=True)
+        else:
+            scale = st.gamma.value * (1.0 / np.sqrt(st.run_var + ad.BN_EPS))
+            t = ad.conv2d(t, ad.constant(st.w.value * scale[:, None, None, None]),
+                          ad.constant(st.beta.value - st.run_mean * scale))
+        t = ad.relu(t)
     logits = ad.conv2d(t, params.cls_w, params.cls_b)
     h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
                               params.ood_run_var, training=training))

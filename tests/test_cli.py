@@ -280,6 +280,22 @@ class TestScore:
                                       "--out", str(tmp_path), "--variants", "energy"])
         assert result.exit_code == 2
 
+    def test_nan_tau_is_a_config_error(self, workspace, tmp_path):
+        # a NaN tau would fuse no outlier at all; it is rejected before the
+        # checkpoint is read, so a missing one still exits 2, not 3
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(tmp_path / "no.dhck"),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out"), "--tau", "nan"])
+        assert result.exit_code == 2, result.output
+        assert "config error: tau must not be NaN" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tau_exports_the_argmax(self, workspace, tmp_path):
+        run_ok(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
+                "--data", workspace["manifest"], "--out", tmp_path, "--tau", "inf"])
+        np.testing.assert_array_equal(read_pgm(tmp_path / "test_0000_open.pgm"),
+                                      read_pgm(tmp_path / "test_0000_argmax.pgm"))
+
     def test_unparsable_tau_is_a_config_error(self, workspace, tmp_path):
         result = RUNNER.invoke(main, ["score", "--checkpoint",
                                       str(workspace["run"] / "checkpoint.dhck"),
@@ -439,6 +455,21 @@ class TestEval:
         assert result.exit_code == 2, result.output
         assert "bin edges must be strictly increasing" in result.output
         assert not (tmp_path / "m.csv").exists()
+
+    def test_nan_target_tpr_is_a_config_error(self, workspace, tmp_path):
+        # checked before any raster is read: missing scores still exit 2, not 3
+        result = self.eval_on(workspace, tmp_path, "--target-tpr", "nan",
+                              scores=tmp_path / "missing")
+        assert result.exit_code == 2, result.output
+        assert "config error: target_tpr must not be NaN" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_zero_target_tpr_gives_zero_fpr(self, workspace, tmp_path):
+        result = self.eval_on(workspace, tmp_path, "--target-tpr", "0")
+        assert result.exit_code == 0, result.output
+        rows = {(r[1], r[2]): r[3:] for r in read_metric_rows(tmp_path / "m.csv")}
+        for v in ("hybrid", "generative", "discriminative"):
+            assert rows[(f"fpr95/{v}", "")] == ["0.0", "ok"]
 
     @pytest.mark.parametrize("bins", [",", "5"])
     def test_bins_without_two_edges_is_a_config_error(self, workspace, tmp_path, bins):

@@ -174,6 +174,46 @@ class TestRankingAtScale:
         assert self.metrics(rank(scores[perm], truth[perm])) == self.metrics(rank(scores, truth))
 
 
+class TestFloat32Scores:
+    """Float32 scores are ranked as they are; widening them to float64 first
+    would give the same tie groups, counts and taus."""
+
+    def data(self, n=200_000):
+        rng = np.random.default_rng(13)
+        levels = rng.integers(0, 60, size=n)
+        truth = rng.random(n) < (levels + 1) / 70.0
+        return (levels / 7.0).astype(np.float32), truth
+
+    def test_rank(self):
+        scores, truth = self.data()
+        got, want = rank(scores, truth), rank(scores.astype(float), truth)
+        assert got.taus.dtype == np.float32 and got.taus.size == 60
+        np.testing.assert_array_equal(got.taus, want.taus)
+        np.testing.assert_array_equal(got.cum_tp, want.cum_tp)
+        np.testing.assert_array_equal(got.cum_fp, want.cum_fp)
+        assert (got.npos, got.nneg) == (want.npos, want.nneg)
+        for target in (0.5, 0.95):
+            fpr, tau = got.fpr_at_tpr(target)
+            assert type(tau) is float and (fpr, tau) == want.fpr_at_tpr(target)
+        assert got.average_precision() == want.average_precision()
+        assert got.auroc() == want.auroc()
+
+    def test_two_fold_open_eval(self):
+        scores, truth = self.data(6000)
+        argmax = np.random.default_rng(14).integers(0, 2, size=scores.size)
+        gt = np.where(truth, 2, argmax ^ (scores > 4))
+        sizes = [1000] * 6
+        assert (two_fold_open_eval(argmax, scores, gt, sizes, 2)
+                == two_fold_open_eval(argmax, scores.astype(float), gt, sizes, 2))
+
+    def test_range_binned(self):
+        scores, truth = self.data(20_000)
+        distance = np.random.default_rng(15).uniform(0.0, 60.0, size=scores.size)
+        got = range_binned(scores, truth, distance, [0.0, 5.0, 20.0, 60.0])
+        assert [r.status for r in got] == ["ok"] * 3
+        assert got == range_binned(scores.astype(float), truth, distance, [0.0, 5.0, 20.0, 60.0])
+
+
 MONOTONE_TRANSFORMS = (
     lambda s: 2.0 * s + 1.0,
     lambda s: s**3,

@@ -7,6 +7,7 @@ import pytest
 from helpers import write_v1_checkpoint
 from hybridseg import autodiff as ad
 from hybridseg import inference
+from hybridseg.autodiff import BN_EPS
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
 from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.network import (
@@ -277,3 +278,52 @@ class TestVersion1Checkpoint:
         (tmp_path / "v1.dhck").write_bytes(data[:header + 8 * (8 * 3 * 9 + 3)])
         with pytest.raises(DataFormatError, match="stage0.b"):
             load_checkpoint(tmp_path / "v1.dhck")
+
+
+def random_model(kernel_size, seed=0):
+    """A model with random heads, random batch-norm affines and running
+    statistics far from the identity, so that a fold error shows."""
+    rng = np.random.default_rng(seed)
+    params = init_params(NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4,
+                                       kernel_size=kernel_size, seed=seed))
+    for st in params.stages:
+        c = st.run_var.size
+        st.gamma.value[...] = rng.uniform(0.5, 2.0, c) * rng.choice([-1.0, 1.0], c)
+        st.beta.value[...] = rng.normal(size=c)
+        st.run_mean[...] = rng.normal(size=c)
+        st.run_var[...] = rng.uniform(0.01, 4.0, c)
+    for t in (params.cls_w, params.cls_b, params.ood_w, params.ood_gamma, params.ood_beta):
+        t.value[...] = rng.normal(size=t.value.shape)
+    params.ood_run_mean[...] = rng.normal(size=params.ood_run_mean.shape)
+    params.ood_run_var[...] = rng.uniform(0.01, 4.0, params.ood_run_var.shape)
+    return params
+
+
+@pytest.mark.parametrize("kernel_size", [3, 1])
+class TestEvalFold:
+    """Eval mode folds each stage's batch-norm into its conv's weights and bias."""
+
+    def test_matches_the_unfolded_stages(self, kernel_size):
+        params = random_model(kernel_size)
+        image = rand_image((2, 3, 9, 7), seed=2)
+        got = forward(params, image)
+        # with zero biases v1_forward is conv -> batch_norm(training=False) -> relu
+        want = v1_forward(params, [np.zeros(w) for w in params.config.widths], image)
+        assert np.ptp(want.logits.value) > 1.0 and np.ptp(want.dataset_posterior.value) > 1e-3
+        for a, b in ((got.logits, want.logits),
+                     (got.dataset_posterior, want.dataset_posterior)):
+            np.testing.assert_allclose(a.value, b.value, rtol=0, atol=1e-12)
+
+    def test_leaves_every_array_as_it_was(self, kernel_size):
+        params = random_model(kernel_size)
+        before = [(name, a.tobytes()) for name, a in params.named_arrays()]
+        forward(params, rand_image((1, 3, 5, 5), seed=3))
+        assert [(name, a.tobytes()) for name, a in params.named_arrays()] == before
+
+    @pytest.mark.parametrize("stage,run_var", [(0, -BN_EPS), (0, -1.0), (1, -BN_EPS)])
+    def test_non_finite_fold_aborts(self, kernel_size, stage, run_var):
+        # -eps makes the scale infinite, anything below it makes it NaN
+        params = random_model(kernel_size)
+        params.stages[stage].run_var[...] = run_var
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericFailure):
+            forward(params, rand_image((1, 3, 5, 5), seed=4))
