@@ -14,7 +14,8 @@ Convolution, which sets the cost of a training step, runs each pass as
 one GEMM per cache-sized block of output rows, on columns cut from the
 flat, zero-padded image. Batch-norm, the next cost, makes one centred
 copy of its input and takes its channel sums as einsum contractions; in
-eval mode it is one scale and one shift per channel.
+eval mode it is forward-only, one scale and one shift per channel from
+``batch_norm_affine``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .scoring import log_sum_exp
 # Output rows per conv2d GEMM block: at 32 channels, 3x3 and 64 px a block's
 # columns are 288 x 528 float64, 1.2 MB, which stay in a 2 MiB L2.
 BLOCK_ROWS = 8
-BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch_norm's defaults
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch_norm's constants
 
 
 class Tensor:
@@ -357,16 +358,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_val, parents, backprop)
 
 
+def batch_norm_affine(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
+                      running_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch-norm as one per-channel ``(scale, shift)``: the output
+    is ``x * scale + shift``. The one home of the running-statistics formula."""
+    scale = gamma * (1.0 / np.sqrt(running_var + BN_EPS))
+    return scale, beta - running_mean * scale
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float = BN_MOMENTUM,
-               eps: float = BN_EPS) -> Tensor:
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel affine normalization of NCHW input.
 
     Training mode normalizes with biased batch statistics, folds them into
     the running averages in place, and keeps one centred copy ``xhat``,
     normalized in place, for backward; channel sums are einsum contractions.
-    Eval mode is one scale ``gamma*inv`` and shift ``beta - mu*gamma*inv``
-    per channel, which ``network.forward`` folds into each backbone conv.
+    Eval mode is forward-only: the ``batch_norm_affine`` scale and shift,
+    returned as a constant with no recorded graph.
     """
     xv = x.value
     if xv.ndim != 4:
@@ -376,49 +384,40 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                     ("running_mean", running_mean), ("running_var", running_var)):
         if np.shape(a) != (c,):
             raise ContractViolation(f"{name} shape {np.shape(a)} != ({c},)")
-    m = n * h * wd
     x3 = xv.reshape(n, c, h * wd)
-    if training:
-        mu = np.einsum("nck->c", x3) / m
-        xhat = x3 - mu[:, None]
-        var = np.einsum("nck,nck->c", xhat, xhat) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv[:, None]
-        out_val = xhat * gamma.value[:, None]
-        out_val += beta.value[:, None]
-    else:
-        mu = running_mean.copy()  # training calls update the buffer in place
-        inv = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.value * inv
+    if not training:
+        scale, shift = batch_norm_affine(gamma.value, beta.value, running_mean, running_var)
         out_val = x3 * scale[:, None]
-        out_val += (beta.value - mu * scale)[:, None]
-        xhat = None
+        out_val += shift[:, None]
+        return constant(out_val.reshape(xv.shape))
+    m = n * h * wd
+    mu = np.einsum("nck->c", x3) / m
+    xhat = x3 - mu[:, None]
+    var = np.einsum("nck,nck->c", xhat, xhat) / m
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv[:, None]
+    out_val = xhat * gamma.value[:, None]
+    out_val += beta.value[:, None]
 
     def backprop(g):
         # g may alias a sibling's grad (see _accumulate): read it, never write
         g3 = g.reshape(n, c, h * wd)
         sum_g = np.einsum("nck->c", g3)
+        sum_gxhat = np.einsum("nck,nck->c", g3, xhat)
         if beta.requires_grad:
             _accumulate(beta, sum_g)
-        if training or gamma.requires_grad:
-            xh = xhat if training else (x3 - mu[:, None]) * inv[:, None]
-            sum_gxhat = np.einsum("nck,nck->c", g3, xh)
-            if gamma.requires_grad:
-                _accumulate(gamma, sum_gxhat)
+        if gamma.requires_grad:
+            _accumulate(gamma, sum_gxhat)
         if not x.requires_grad:
             return
-        scale = (gamma.value * inv)[:, None]
-        if training:
-            gx = xhat * (-sum_gxhat / m)[:, None]
-            gx += g3
-            gx -= (sum_g / m)[:, None]
-            gx *= scale
-        else:
-            gx = g3 * scale
+        gx = xhat * (-sum_gxhat / m)[:, None]
+        gx += g3
+        gx -= (sum_g / m)[:, None]
+        gx *= (gamma.value * inv)[:, None]
         _accumulate(x, gx.reshape(xv.shape))
 
     return _make(out_val.reshape(xv.shape), (x, gamma, beta), backprop)

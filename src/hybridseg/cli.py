@@ -326,7 +326,7 @@ def run_eval(cfg: dict) -> None:
     variants = _variants(cfg)
     split = cfg["split"]
     edges = cfgmod.parse_float_list(cfg["bins"])
-    if cfg["bins"] and (len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:]))):
+    if cfg["bins"] and (len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:]))):
         raise ConfigError("bin edges must be strictly increasing, >= 2 of them")
     gt, argmax, distance, scores, sizes = _evaluated_pixels(cfg, variants)
     truth = gt == k

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, DataFormatError
-from .labels import IGNORE_LABEL, PixelRole, outlier_label
+from .labels import IGNORE_LABEL, PixelRole
 from .rasters import (ManifestRow, read_manifest, read_pgm, read_ppm, write_manifest,
                       write_pgm, write_ppm)
 
@@ -296,7 +296,7 @@ def gen_scene(rng: np.random.Generator, cfg: SceneConfig,
             raise ContractViolation("could not sample an anomaly within the area bounds")
         spec = _held_out_spec(rng, ANOMALY_CELLS)
         image[:, sup] = render_texture(rng, size, size, spec)[:, sup]
-        labels[sup] = outlier_label(SCENE_CLASSES)
+        labels[sup] = SCENE_CLASSES
         roles[sup] = PixelRole.OUTLIER
 
     distance = _distance_ramp(size) if with_anomaly else None
@@ -397,7 +397,6 @@ def paste_negatives(sample: SceneSample, patches: list[NegativePatch],
     height, width = sample.labels.shape
     image = sample.image.copy()
     labels = sample.labels.copy()
-    out = outlier_label(cfg.num_classes)
     for _ in range(cfg.paste_count):
         patch = patches[int(rng.integers(len(patches)))]
         ph, pw = patch.alpha.shape
@@ -408,7 +407,7 @@ def paste_negatives(sample: SceneSample, patches: list[NegativePatch],
         view = np.s_[y0:y0 + ph, x0:x0 + pw]
         image[(slice(None),) + view] = np.where(patch.alpha, patch.image,
                                                 image[(slice(None),) + view])
-        labels[view] = np.where(patch.alpha, out, labels[view])
+        labels[view] = np.where(patch.alpha, cfg.num_classes, labels[view])
     return SceneSample(image=image, labels=labels)
 
 
@@ -531,9 +530,9 @@ def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     if invalid.any():
         raise DataFormatError(f"{row.image}: inlier pixels without class labels "
                               f"(label {labels[invalid].min()})")
-    invalid = (roles == PixelRole.OUTLIER) & (labels != outlier_label(num_classes))
+    invalid = (roles == PixelRole.OUTLIER) & (labels != num_classes)
     if invalid.any():
         raise DataFormatError(f"{row.image}: outlier pixels labelled {labels[invalid].min()}, "
-                              f"not {outlier_label(num_classes)}")
+                              f"not {num_classes}")
     labels[roles == PixelRole.IGNORE] = IGNORE_LABEL
     return SceneSample(image=image, labels=labels, roles=roles, distance=distance)

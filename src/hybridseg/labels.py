@@ -16,8 +16,3 @@ class PixelRole(IntEnum):
     INLIER = 0
     OUTLIER = 1
     IGNORE = 2
-
-
-def outlier_label(num_classes: int) -> int:
-    """Label value reserved for outlier pixels in open-set maps."""
-    return num_classes

@@ -235,7 +235,7 @@ def range_binned(scores, truth, distance, bin_edges,
     if distance.shape != scores.shape:
         raise ContractViolation("distance must be present for every pixel")
     edges = list(bin_edges)
-    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ContractViolation("bin edges must be strictly increasing, >= 2 of them")
     results = []
     for lo, hi in zip(edges, edges[1:]):

@@ -31,7 +31,7 @@ from .scoring import POSTERIOR_EPS
 
 CHECKPOINT_MAGIC = b"DHCK"
 CHECKPOINT_VERSION = 2
-# the only values v1 may declare: the autodiff.batch_norm defaults forward uses
+# the only values v1 may declare: the batch-norm constants of autodiff
 V1_BATCH_NORM = {"bn_momentum": ad.BN_MOMENTUM, "bn_eps": ad.BN_EPS}
 
 
@@ -156,7 +156,8 @@ class ForwardMaps:
 def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
             training: bool = False) -> ForwardMaps:
     """Run the model; raises NumericFailure if any output is non-finite. Eval
-    mode folds each stage's batch-norm into constants: conv weights and a bias."""
+    mode folds each stage's ``ad.batch_norm_affine`` into its conv: constant
+    weights ``w * scale`` and bias ``shift``."""
     x = image if isinstance(image, ad.Tensor) else ad.constant(image)
     c = params.config.input_channels
     if x.value.ndim != 4 or x.value.shape[1] != c:
@@ -167,9 +168,10 @@ def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
             t = ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
                               st.run_var, training=True)
         else:
-            scale = st.gamma.value * (1.0 / np.sqrt(st.run_var + ad.BN_EPS))
+            scale, shift = ad.batch_norm_affine(st.gamma.value, st.beta.value,
+                                                st.run_mean, st.run_var)
             t = ad.conv2d(t, ad.constant(st.w.value * scale[:, None, None, None]),
-                          ad.constant(st.beta.value - st.run_mean * scale))
+                          ad.constant(shift))
         t = ad.relu(t)
     logits = ad.conv2d(t, params.cls_w, params.cls_b)
     h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,

@@ -359,11 +359,10 @@ class TestBatchNorm:
                       rm, rv, training=False)
         np.testing.assert_array_equal(rm, 0.0)
         ad.batch_norm(ad.constant(x), ad.constant(np.ones(2)), ad.constant(np.zeros(2)),
-                      rm, rv, training=True, momentum=0.1)
+                      rm, rv, training=True)
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradients(self, training):
+    def test_gradients(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 2, 4, 4))
         gamma = rng.uniform(0.5, 1.5, size=2)
@@ -373,12 +372,11 @@ class TestBatchNorm:
         rv = rng.uniform(0.5, 2.0, size=2)
 
         def build(xx, gg, bb):
-            out = ad.batch_norm(xx, gg, bb, rm.copy(), rv.copy(), training=training)
+            out = ad.batch_norm(xx, gg, bb, rm.copy(), rv.copy(), training=True)
             return ad.tsum(ad.mul(out, ad.constant(weight)))
 
         check_op_grad(build, [x, gamma, beta], rtol=2e-5)
-        # x a constant: only gamma and beta need gradients, which in eval
-        # mode is the path that recomputes xhat in the backward pass
+        # x a constant: only gamma and beta need gradients
         check_op_grad(lambda gg, bb: build(ad.constant(x), gg, bb), [gamma, beta], rtol=2e-5)
 
     @staticmethod
@@ -404,18 +402,20 @@ class TestBatchNorm:
         xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
         rm, rv = rm.copy(), rv.copy()
         out = ad.batch_norm(xt, gt, bt, rm, rv, training=training)
-        ad.tsum(ad.mul(out, ad.constant(g))).backward()
-        for got, ref in zip((out.value, xt.grad, gt.grad, bt.grad, rm, rv), want):
+        pairs = [(out.value, want[0]), (rm, want[4]), (rv, want[5])]
+        if training:  # eval mode records no graph
+            ad.tsum(ad.mul(out, ad.constant(g))).backward()
+            pairs += zip((xt.grad, gt.grad, bt.grad), want[1:4])
+        for got, ref in pairs:
             assert got.dtype == np.float64
             # relative to the array's largest entry: elementwise rtol means
             # nothing for entries that cancel to near zero
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_input_and_incoming_gradient_unchanged(self, training):
+    def test_input_and_incoming_gradient_unchanged(self):
         x, gamma, beta, rm, rv, g = self.bn_case(3, offset=False)
         xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
-        out = ad.batch_norm(xt, gt, bt, rm, rv, training=training)
+        out = ad.batch_norm(xt, gt, bt, rm, rv, training=True)
         np.testing.assert_array_equal(xt.value, x)
         # add hands one gradient array to both operands, so a write into the
         # incoming gradient would show in the sibling's grad
@@ -423,6 +423,23 @@ class TestBatchNorm:
         ad.tsum(ad.mul(ad.add(out, sibling), ad.constant(g))).backward()
         np.testing.assert_array_equal(sibling.grad, g)
         np.testing.assert_array_equal(xt.value, x)
+
+    def test_eval_is_forward_only(self):
+        x, gamma, beta, rm, rv, _ = self.bn_case(4, offset=False)
+        xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
+        out = ad.batch_norm(xt, gt, bt, rm, rv, training=False)
+        np.testing.assert_array_equal(xt.value, x)
+        assert not out.requires_grad
+        with pytest.raises(ContractViolation, match="no recorded graph"):
+            ad.tsum(out).backward()
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_affine_matches_reference_eval(self, offset):
+        x, gamma, beta, rm, rv, g = self.bn_case(5, offset)
+        scale, shift = ad.batch_norm_affine(gamma, beta, rm, rv)
+        got = x * scale[:, None, None] + shift[:, None, None]
+        want = reference_batch_norm(x, gamma, beta, rm, rv, False, g)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_non_4d_input_rejected(self):
         with pytest.raises(ContractViolation, match="NCHW"):

@@ -456,6 +456,14 @@ class TestEval:
         assert "bin edges must be strictly increasing" in result.output
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("bins", ["5,nan,50", "nan,50", "5,nan"])
+    def test_nan_bin_edge_is_a_config_error(self, workspace, tmp_path, bins):
+        # a NaN compares false both ways; checked before any raster is read
+        result = self.eval_on(workspace, tmp_path, "--bins", bins, scores=tmp_path / "missing")
+        assert result.exit_code == 2, result.output
+        assert "bin edges must be strictly increasing" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
     def test_nan_target_tpr_is_a_config_error(self, workspace, tmp_path):
         # checked before any raster is read: missing scores still exit 2, not 3
         result = self.eval_on(workspace, tmp_path, "--target-tpr", "nan",

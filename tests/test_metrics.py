@@ -584,6 +584,11 @@ class TestRangeBinned:
         with pytest.raises(ContractViolation):
             range_binned([1.0, 0.0], [1, 0], [5.0, 6.0], [10.0, 10.0])
 
+    @pytest.mark.parametrize("edges", [[5.0, math.nan, 50.0], [math.nan, 50.0], [5.0, math.nan]])
+    def test_nan_edge_rejected(self, edges):
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            range_binned([1.0, 0.0], [1, 0], [5.0, 6.0], edges)
+
     def test_results_are_plain_records(self):
         r = BinResult(lo=0.0, hi=1.0, pixels=0, status="degenerate",
                       ap=float("nan"), fpr95=float("nan"))

@@ -220,10 +220,9 @@ def v1_forward(params, stage_biases, image):
     t = ad.constant(image)
     for st, b in zip(params.stages, stage_biases):
         t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w, ad.constant(b)), st.gamma, st.beta,
-                                  st.run_mean, st.run_var, training=False,
-                                  momentum=0.1, eps=1e-5))
+                                  st.run_mean, st.run_var, training=False))
     h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
-                              params.ood_run_var, training=False, momentum=0.1, eps=1e-5))
+                              params.ood_run_var, training=False))
     din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
                   POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
     return ForwardMaps(logits=ad.conv2d(t, params.cls_w, params.cls_b), dataset_posterior=din)
