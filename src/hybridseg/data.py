@@ -22,7 +22,7 @@ distance PGMs per scene, listed in ``manifest.csv``); ``split_rows`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,35 +173,42 @@ def _held_out_spec(rng: np.random.Generator, cells_band: tuple[int, int]) -> Tex
     return TextureSpec(color, 0.12, int(rng.integers(cells_band[0], cells_band[1] + 1)))
 
 
-def _resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize (C, H, W) with bilinear sampling (half-pixel centers)."""
-    c, h, w = image.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+def _source_rows(n: int, out: int) -> np.ndarray:
+    """Unclipped half-pixel-centered source positions of `out` samples over `n`."""
+    return (np.arange(out) + 0.5) * n / out - 0.5
+
+
+def _sample_bilinear(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(C, len(ys), len(xs)) bilinear samples of (C, H, W) at clipped source
+    positions: each source row is interpolated along x once, then rows blend."""
+    _, h, w = image.shape
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = image[:, y0[:, None], x0] * (1 - wx) + image[:, y0[:, None], x1] * wx
-    bot = image[:, y1[:, None], x0] * (1 - wx) + image[:, y1[:, None], x1] * wx
-    return top * (1 - wy) + bot * wy
+    wx = xs - x0
+    # take(), unlike fancy indexing on an inner axis, keeps the result C-ordered
+    along_x = image.take(x0, axis=2) * (1 - wx) + image.take(x1, axis=2) * wx
+    return along_x.take(y0, axis=1) * (1 - wy) + along_x.take(y1, axis=1) * wy
 
 
-def _resize_nearest(raster: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize (H, W) with nearest-neighbor sampling (same grid as bilinear)."""
+def _sample_nearest(raster: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(len(ys), len(xs)) nearest-neighbor samples of (H, W) at source positions."""
     h, w = raster.shape
-    ys = np.clip(np.round((np.arange(out_h) + 0.5) * h / out_h - 0.5), 0, h - 1).astype(int)
-    xs = np.clip(np.round((np.arange(out_w) + 0.5) * w / out_w - 0.5), 0, w - 1).astype(int)
+    ys = np.clip(np.round(ys), 0, h - 1).astype(int)
+    xs = np.clip(np.round(xs), 0, w - 1).astype(int)
     return raster[ys[:, None], xs]
 
 
 def render_texture(rng: np.random.Generator, h: int, w: int,
                    spec: TextureSpec) -> np.ndarray:
     """(3, h, w) image in [0, 1]: mean color plus smooth seeded noise."""
-    lattice = rng.uniform(-1.0, 1.0, size=(1, spec.cells + 1, spec.cells + 1))
-    noise = _resize_bilinear(lattice, h, w)[0]
+    n = spec.cells + 1
+    lattice = rng.uniform(-1.0, 1.0, size=(1, n, n))
+    noise = _sample_bilinear(lattice, _source_rows(n, h), _source_rows(n, w))[0]
     out = np.asarray(spec.mean_rgb)[:, None, None] + spec.amplitude * noise
     return np.clip(out, 0.0, 1.0)
 
@@ -389,15 +396,13 @@ def paste_negatives(sample: SceneSample, patches: list[NegativePatch],
     """Alpha-composite `paste_count` random patches fully inside the crop.
 
     Pasted pixels get the outlier label K; pastes may overlap each other but
-    never cross the image border. The result carries no roles.
+    never cross the image border. The result is a copy that carries no roles
+    or distance; with no patches nothing is pasted and nothing is drawn.
     """
-    if cfg.paste_count == 0 or not patches:
-        return replace(sample, image=sample.image.copy(),
-                       labels=sample.labels.copy(), roles=None)
     height, width = sample.labels.shape
     image = sample.image.copy()
     labels = sample.labels.copy()
-    for _ in range(cfg.paste_count):
+    for _ in range(cfg.paste_count if patches else 0):
         patch = patches[int(rng.integers(len(patches)))]
         ph, pw = patch.alpha.shape
         if ph > height or pw > width:
@@ -415,40 +420,30 @@ def augment(sample: SceneSample, cfg: AugmentConfig,
             rng: np.random.Generator) -> SceneSample:
     """Scale-jitter, random horizontal flip, random square crop.
 
-    Labels follow the image through identical geometry (nearest-neighbor
-    where the image is bilinear); the crop carries no roles or distance.
+    The geometry is decided on the source positions of the crop's rows and
+    columns, and the image (bilinear) and labels (nearest neighbor) are each
+    sampled once, at the crop alone; the crop carries no roles or distance.
     If the jittered image is smaller than the crop, the factor is re-drawn
-    a bounded number of times and the final fallback reflects the borders
-    out to crop size.
+    a bounded number of times, and the final fallback reflects the
+    positions out to crop size (a side of one pixel repeats).
     """
     h, w = sample.labels.shape
     lo, hi = cfg.scale_jitter_range
+    size = cfg.crop_size
     for _ in range(JITTER_RETRIES + 1):
         factor = rng.uniform(lo, hi)
-        new_h, new_w = int(round(h * factor)), int(round(w * factor))
-        if new_h >= cfg.crop_size and new_w >= cfg.crop_size:
+        new_h, new_w = max(1, round(h * factor)), max(1, round(w * factor))
+        if new_h >= size and new_w >= size:
             break
-    image = _resize_bilinear(sample.image, new_h, new_w)
-    labels = _resize_nearest(sample.labels, new_h, new_w)
-
-    while new_h < cfg.crop_size or new_w < cfg.crop_size:
-        # reflect can add at most dim-1 rows/cols per pass, so pad in rounds
-        pad_h = min(max(0, cfg.crop_size - new_h), new_h - 1)
-        pad_w = min(max(0, cfg.crop_size - new_w), new_w - 1)
-        pads = ((0, pad_h), (0, pad_w))
-        image = np.pad(image, ((0, 0),) + pads, mode="reflect")
-        labels = np.pad(labels, pads, mode="reflect")
-        new_h, new_w = labels.shape
-
+    ys, xs = (np.pad(_source_rows(n, new), (0, max(0, size - new)), mode="reflect")
+              for n, new in ((h, new_h), (w, new_w)))
     if rng.uniform() < cfg.hflip_prob:
-        image = image[:, :, ::-1]
-        labels = labels[:, ::-1]
-
-    y0 = int(rng.integers(0, new_h - cfg.crop_size + 1))
-    x0 = int(rng.integers(0, new_w - cfg.crop_size + 1))
-    view = np.s_[y0:y0 + cfg.crop_size, x0:x0 + cfg.crop_size]
-    return SceneSample(image=np.ascontiguousarray(image[(slice(None),) + view]),
-                       labels=np.ascontiguousarray(labels[view]))
+        xs = xs[::-1]
+    y0 = int(rng.integers(0, len(ys) - size + 1))
+    x0 = int(rng.integers(0, len(xs) - size + 1))
+    ys, xs = ys[y0:y0 + size], xs[x0:x0 + size]
+    return SceneSample(image=_sample_bilinear(sample.image, ys, xs),
+                       labels=_sample_nearest(sample.labels, ys, xs))
 
 
 def mixed_batch(scenes: list[SceneSample], patches: list[NegativePatch],
@@ -503,13 +498,16 @@ def split_rows(manifest, split: str) -> list[ManifestRow]:
 
 
 def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
-    """Read one row's rasters: all of the image's size, labels in
-    0..num_classes or IGNORE_LABEL, roles in 0..2, a class below
-    num_classes on every inlier pixel and num_classes on every outlier.
+    """Read one row's rasters: an image with rows and columns, the rest of
+    its size, labels in 0..num_classes or IGNORE_LABEL, roles in 0..2, a
+    class below num_classes on every inlier pixel and num_classes on every
+    outlier.
     An ignore-role pixel loads as IGNORE_LABEL whatever its label, so the
     labels alone say which pixels training and evaluation use."""
     root = Path(root)
     image = read_ppm(root / row.image).astype(np.float64).transpose(2, 0, 1) / 255.0
+    if 0 in image.shape:
+        raise DataFormatError(f"{row.image}: image has no rows or no columns")
     labels = read_pgm(root / row.label).astype(np.int64)
     roles = read_pgm(root / row.mask)
     dist_path = root / (Path(row.image).stem + "_dist.pgm")

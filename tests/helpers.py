@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, batch-norm by its textbook
 formulas, brute-force and stable-sort ranking metrics, the two-fold
-protocol image by image and a version-1 checkpoint writer.
+protocol image by image, a version-1 checkpoint writer and crop
+augmentation that resizes the whole image first.
 
 Everything here is deliberately independent of the library's own code paths:
 plain loops, direct definitions, no reuse of the functions under test.
@@ -201,3 +202,53 @@ def write_v1_checkpoint(path, params, stage_biases, step=0, bn_momentum=0.1, bn_
         f.write(b"DHCK" + struct.pack("<IQI", 1, step, len(blob)) + blob)
         for a in arrays:
             f.write(np.asarray(a, dtype="<f8").tobytes())
+
+
+def reference_resize_bilinear(image, out_h, out_w):
+    """Resize (C, H, W) to (C, out_h, out_w): four-corner bilinear gathers on
+    half-pixel centers."""
+    _, h, w = image.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = image[:, y0[:, None], x0] * (1 - wx) + image[:, y0[:, None], x1] * wx
+    bot = image[:, y1[:, None], x0] * (1 - wx) + image[:, y1[:, None], x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def reference_resize_nearest(raster, out_h, out_w):
+    """Resize (H, W) with nearest-neighbor sampling on the bilinear grid."""
+    h, w = raster.shape
+    ys = np.clip(np.round((np.arange(out_h) + 0.5) * h / out_h - 0.5), 0, h - 1).astype(int)
+    xs = np.clip(np.round((np.arange(out_w) + 0.5) * w / out_w - 0.5), 0, w - 1).astype(int)
+    return raster[ys[:, None], xs]
+
+
+def reference_augment(image, labels, cfg, rng, retries):
+    """(image, labels) crop of `augment`'s geometry, one step at a time.
+
+    Draws in `augment`'s order (factors, flip, row, column), but resizes the
+    whole jittered image and labels, reflect-pads both out to crop size,
+    flips both and only then crops.
+    """
+    h, w = labels.shape
+    size = cfg.crop_size
+    for _ in range(retries + 1):
+        factor = rng.uniform(*cfg.scale_jitter_range)
+        new_h, new_w = max(1, round(h * factor)), max(1, round(w * factor))
+        if new_h >= size and new_w >= size:
+            break
+    pads = ((0, max(0, size - new_h)), (0, max(0, size - new_w)))
+    image = np.pad(reference_resize_bilinear(image, new_h, new_w), ((0, 0),) + pads,
+                   mode="reflect")
+    labels = np.pad(reference_resize_nearest(labels, new_h, new_w), pads, mode="reflect")
+    if rng.uniform() < cfg.hflip_prob:
+        image, labels = image[:, :, ::-1], labels[:, ::-1]
+    y0 = int(rng.integers(0, labels.shape[0] - size + 1))
+    x0 = int(rng.integers(0, labels.shape[1] - size + 1))
+    return image[:, y0:y0 + size, x0:x0 + size], labels[y0:y0 + size, x0:x0 + size]

@@ -24,6 +24,7 @@ from hybridseg.rasters import (
     read_pgm,
     read_score_raster,
     write_pgm,
+    write_ppm,
     write_score_raster,
 )
 
@@ -732,6 +733,34 @@ class TestOutOfRangeLabels:
     def test_score(self, workspace, bad_data, tmp_path):
         self.assert_data_error(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
                                 "--data", bad_data, "--out", tmp_path / "scores"])
+
+
+class TestEmptyImage:
+    """A 0x0 scene is a data error in `train` and `score`, not a traceback."""
+
+    @pytest.fixture
+    def empty_data(self, workspace, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace["manifest"].parent, scenes)
+        for stem in ("train_0000", "test_0000"):
+            write_ppm(scenes / f"{stem}.ppm", np.zeros((0, 0, 3), np.uint8))
+            for suffix in ("label", "role", "dist"):
+                if (scenes / f"{stem}_{suffix}.pgm").exists():
+                    write_pgm(scenes / f"{stem}_{suffix}.pgm", np.zeros((0, 0), np.uint8))
+        return scenes / "manifest.csv"
+
+    def assert_data_error(self, args):
+        result = RUNNER.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "data error" in result.output
+        assert "has no rows or no columns" in result.output
+
+    def test_train(self, empty_data, tmp_path):
+        self.assert_data_error(TRAIN_ARGS + ["--data", empty_data, "--out", tmp_path / "run"])
+
+    def test_score(self, workspace, empty_data, tmp_path):
+        self.assert_data_error(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
+                                "--data", empty_data, "--out", tmp_path / "scores"])
 
 
 def test_train_rejects_a_role_outside_0_to_2(workspace, tmp_path):

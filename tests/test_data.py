@@ -1,8 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import reference_augment, reference_resize_bilinear
 from hybridseg.data import (
     ANOMALY_AREA,
     ANOMALY_CELLS,
@@ -10,6 +12,7 @@ from hybridseg.data import (
     FAR_M,
     HELD_OUT_COLOR_RANGE,
     INLIER_TEXTURES,
+    JITTER_RETRIES,
     NEAR_M,
     NEGATIVE_CELLS,
     SceneConfig,
@@ -17,6 +20,7 @@ from hybridseg.data import (
     TEXTURES,
     TOY_ANNULUS,
     TOY_INLIER_MEANS,
+    TextureSpec,
     as_grid,
     augment,
     gen_negative_patches,
@@ -286,6 +290,39 @@ class TestAugment:
             np.testing.assert_array_equal(roles == PixelRole.OUTLIER, out.labels == 3)
             np.testing.assert_array_equal(roles == PixelRole.INLIER, out.labels < 3)
 
+    @pytest.mark.parametrize("shape", [(1, 64), (2, 64)])
+    def test_a_one_or_two_pixel_side_reflects_out_to_crop_size(self, shape):
+        rng = np.random.default_rng(0)
+        scene = SceneSample(image=rng.uniform(size=(3,) + shape),
+                            labels=rng.integers(0, 3, size=shape))
+        for seed in range(50):
+            out = augment(scene, AugmentConfig(), np.random.default_rng(seed))
+            assert out.image.shape == (3, 64, 64) and out.labels.shape == (64, 64)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (17, 9), (5, 70), (33, 31), (1, 40), (2, 3)])
+    def test_matches_resizing_the_whole_image_first(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for cells in (2, 12, 28):
+            spec = TextureSpec((0.3, 0.5, 0.7), 0.1, cells)
+            lattice = np.random.default_rng(cells).uniform(-1.0, 1.0, (1, cells + 1, cells + 1))
+            expected = np.clip(np.asarray(spec.mean_rgb)[:, None, None] + spec.amplitude
+                               * reference_resize_bilinear(lattice, *shape)[0], 0.0, 1.0)
+            got = render_texture(np.random.default_rng(cells), *shape, spec)
+            assert got.tobytes() == expected.tobytes()
+
+        scene = SceneSample(image=rng.uniform(size=(3,) + shape),
+                            labels=rng.integers(0, 4, size=shape))
+        for crop, jitter, flip, seed in itertools.product(
+                (1, 8, 24, 40), ((0.5, 2.0), (0.9, 1.1)), (0.0, 1.0), range(3)):
+            cfg = AugmentConfig(scale_jitter_range=jitter, hflip_prob=flip, crop_size=crop)
+            out = augment(scene, cfg, np.random.default_rng(seed))
+            image, labels = reference_augment(scene.image, scene.labels, cfg,
+                                              np.random.default_rng(seed), JITTER_RETRIES)
+            assert out.image.tobytes() == image.tobytes()  # tobytes() is C order
+            assert out.labels.tobytes() == labels.tobytes()
+            assert out.image.dtype == np.float64 and out.labels.dtype == np.int64
+            assert out.image.flags.c_contiguous and out.labels.flags.c_contiguous
+
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             AugmentConfig(scale_jitter_range=(2.0, 0.5))
@@ -410,6 +447,17 @@ class TestSceneStorage:
     def test_load_rejects_an_inlier_role_with_the_outlier_label(self, tmp_path):
         row = self._scene_with_pixel(tmp_path, 3, PixelRole.INLIER)
         with pytest.raises(DataFormatError, match=r"inlier pixels without class labels \(label 3\)"):
+            load_scene(tmp_path, row, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 32), (32, 0)])
+    def test_load_rejects_an_image_without_pixels(self, tmp_path, shape):
+        splits = gen_scenes(0, SceneConfig(size=32), {"train": 1})
+        row = read_manifest(save_scenes(tmp_path, splits))[0]
+        from hybridseg.rasters import write_pgm, write_ppm
+        write_ppm(tmp_path / row.image, np.zeros(shape + (3,), np.uint8))
+        for raster in (row.label, row.mask):
+            write_pgm(tmp_path / raster, np.zeros(shape, np.uint8))
+        with pytest.raises(DataFormatError, match="has no rows or no columns"):
             load_scene(tmp_path, row, 3)
 
     def test_split_rows(self, tmp_path):
