@@ -15,7 +15,8 @@ one GEMM per cache-sized block of output rows, on columns cut from the
 flat, zero-padded image. Batch-norm, the next cost, makes one centred
 copy of its input and takes its channel sums as einsum contractions; in
 eval mode it is forward-only, one scale and one shift per channel from
-``batch_norm_affine``.
+``batch_norm_affine``. The eval-mode forward uses that and two array kernels
+with no graph, in their input's dtype: ``correlate`` and ``logistic``.
 """
 
 from __future__ import annotations
@@ -202,10 +203,14 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_val, (x,), backprop)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = x.value
+def logistic(v: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-v)) in ``v``'s dtype, never overflowing."""
     e = np.exp(-np.abs(v))
-    out_val = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_val = logistic(x.value)
 
     def backprop(g):
         _accumulate(x, g * out_val * (1.0 - out_val))
@@ -290,13 +295,34 @@ def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int):
     sn, sc, se = flat.strides
     windows = np.lib.stride_tricks.as_strided(
         flat, (n, c, k, k, h * wp), (sn, sc, wp * se, se, se), writeable=False)
-    buf = np.empty((c * k * k, min(BLOCK_ROWS, h) * wp))
+    buf = np.empty((c * k * k, min(BLOCK_ROWS, h) * wp), dtype=flat.dtype)
     for i in range(n):
         for r0 in range(0, h, BLOCK_ROWS):
             r1 = min(r0 + BLOCK_ROWS, h)
             cols = buf[:, :(r1 - r0) * wp]
             np.copyto(cols.reshape(c, k, k, -1), windows[i, ..., r0 * wp:r1 * wp])
             yield i, slice(r0, r1), cols
+
+
+def _correlate(mat: np.ndarray, flat: np.ndarray, k: int, h: int, wd: int) -> np.ndarray:
+    """The (N, O, h, wd) product of the (O, C*k*k) ``mat`` with the columns of
+    a ``_flat_pad`` buffer of (N, C, h, wd) images, in the buffer's dtype."""
+    if k == 1:
+        return np.matmul(mat, flat).reshape(flat.shape[0], -1, h, wd)
+    out = np.empty((flat.shape[0], mat.shape[0], h, wd), dtype=flat.dtype)
+    for i, rows, cols in _column_blocks(flat, k, h, wd + k - 1):
+        out[i, :, rows] = (mat @ cols).reshape(-1, rows.stop - rows.start, wd + k - 1)[..., :wd]
+    return out
+
+
+def correlate(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``conv2d``'s forward on NCHW/OIHW arrays, with no graph, in ``x``'s
+    dtype (``w`` and ``b`` are cast to it). Shapes are not checked."""
+    k = w.shape[-1]
+    out = _correlate(w.reshape(len(w), -1).astype(x.dtype), _flat_pad(x, k // 2), k, *x.shape[2:])
+    if b is not None:
+        out += b.astype(x.dtype)[:, None, None]
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -312,7 +338,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
         raise ContractViolation("conv2d expects NCHW input and OIHW weights")
-    n, c, h, wd = xv.shape
+    _, c, h, wd = xv.shape
     co, ci, k, kw = wv.shape
     if ci != c:
         raise ContractViolation(f"channel mismatch: input {c}, weights expect {ci}")
@@ -322,17 +348,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ContractViolation(f"bias shape {b.value.shape} != ({co},)")
     p = k // 2
     wp = wd + 2 * p
-
-    def correlate(mat, flat):
-        if k == 1:
-            return np.matmul(mat, flat).reshape(n, -1, h, wd)
-        out = np.empty((n, mat.shape[0], h, wd))
-        for i, rows, cols in _column_blocks(flat, k, h, wp):
-            out[i, :, rows] = (mat @ cols).reshape(-1, rows.stop - rows.start, wp)[..., :wd]
-        return out
-
     xf = _flat_pad(xv, p)
-    out_val = correlate(wv.reshape(co, c * k * k), xf)
+    out_val = _correlate(wv.reshape(co, c * k * k), xf, k, h, wd)
     if b is not None:
         out_val += b.value[:, None, None]
 
@@ -352,7 +369,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             # grad-x is the same-padded correlation of g with the kernel
             # flipped in space and its in/out channels swapped
             wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
-            _accumulate(x, correlate(wt, gf))
+            _accumulate(x, _correlate(wt, gf, k, h, wd))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_val, parents, backprop)

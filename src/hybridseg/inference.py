@@ -8,7 +8,8 @@ anomalous":
 * ``hybrid``          their sum, the log-ratio the method thresholds
 
 Keeping one sign convention means the hybrid map equals the other two added
-together, which downstream tools can verify offline. This module is the one
+together, exactly, in the float32 maps and the rasters written from them;
+downstream tools can verify that offline. This module is the one
 place the three scores are defined. The closed-set prediction is the argmax
 of the logits: the softmax is monotone, so it is never built.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import ModelParams, forward
-from .scoring import unnormalized_log_likelihood
+from .scoring import log_sum_exp
 
 SCORE_VARIANTS = ("hybrid", "generative", "discriminative")
 
@@ -41,15 +42,16 @@ class ScoreBundle:
 
 
 def score_image(params: ModelParams, image: np.ndarray) -> ScoreBundle:
-    """Score one (3, H, W) image (or (C, H, W) matching the model config)."""
-    maps = forward(params, np.asarray(image)[None], training=False)
-    logits = maps.logits.value[0]
-    din = maps.dataset_posterior.value[0, 0]  # forward clamps it into (0, 1)
-    log_like = unnormalized_log_likelihood(logits, axis=0)
+    """Score one (3, H, W) image (or (C, H, W) matching the model config), in
+    float32, the rasters' dtype; ``hybrid`` is the float32 sum of its parts."""
+    maps = forward(params, np.asarray(image, dtype=np.float32)[None], training=False)
+    logits = maps.logits[0]
+    din = maps.dataset_posterior[0, 0]  # forward clamps it into (0, 1)
+    generative = -log_sum_exp(logits, axis=0)
     discriminative = np.log1p(-din)
     return ScoreBundle(
         argmax=logits.argmax(axis=0),
-        hybrid=discriminative - log_like,
-        generative=-log_like,
+        hybrid=generative + discriminative,
+        generative=generative,
         discriminative=discriminative,
     )

@@ -109,13 +109,13 @@ def fuse_open_prediction(argmax: np.ndarray, scores: np.ndarray, tau: float,
 
     `argmax` is the closed-set prediction of the pixels of `scores`, in any
     shape they share. Returns an int map of that shape with outliers
-    encoded as `num_classes`.
+    encoded as `num_classes`. Scores meet `tau` in float64, never rounded.
     """
     argmax = np.asarray(argmax)
     scores = np.asarray(scores)
     if argmax.shape != scores.shape:
         raise ContractViolation("argmax must match scores in shape")
-    return np.where(scores >= tau, num_classes, argmax)
+    return np.where(scores >= np.float64(tau), num_classes, argmax)
 
 
 def open_confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:

@@ -148,38 +148,46 @@ def init_params(config: NetworkConfig) -> ModelParams:
 
 @dataclass
 class ForwardMaps:
-    """Outputs of one forward pass, all at input spatial resolution."""
-    logits: ad.Tensor           # (N, K, H, W)
-    dataset_posterior: ad.Tensor  # (N, 1, H, W), clamped into (0, 1)
+    """Outputs of one forward pass at input resolution; arrays in eval mode."""
+    logits: ad.Tensor | np.ndarray             # (N, K, H, W)
+    dataset_posterior: ad.Tensor | np.ndarray  # (N, 1, H, W), clamped into (0, 1)
 
 
-def forward(params: ModelParams, image: np.ndarray | ad.Tensor,
-            training: bool = False) -> ForwardMaps:
+def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> ForwardMaps:
     """Run the model; raises NumericFailure if any output is non-finite. Eval
-    mode folds each stage's ``ad.batch_norm_affine`` into its conv: constant
+    mode runs ``ad``'s array kernels in the input's float dtype (else float64)
+    with no graph, each stage's ``ad.batch_norm_affine`` folded into its conv:
     weights ``w * scale`` and bias ``shift``."""
-    x = image if isinstance(image, ad.Tensor) else ad.constant(image)
+    x = np.asarray(image)
     c = params.config.input_channels
-    if x.value.ndim != 4 or x.value.shape[1] != c:
-        raise ContractViolation(f"expected (N,{c},H,W) input, got {x.value.shape}")
-    t = x
-    for st in params.stages:
-        if training:
-            t = ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
-                              st.run_var, training=True)
-        else:
+    if x.ndim != 4 or x.shape[1] != c:
+        raise ContractViolation(f"expected (N,{c},H,W) input, got {x.shape}")
+    if training:
+        t = ad.constant(x)
+        for st in params.stages:
+            t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
+                                      st.run_var, training=True))
+        logits = ad.conv2d(t, params.cls_w, params.cls_b)
+        h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
+                                  params.ood_run_var, training=True))
+        din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
+                      POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
+        outputs = t.value, logits.value, din.value
+    else:
+        t = x.astype(np.result_type(x, 0.0), copy=False)
+        for st in params.stages:
             scale, shift = ad.batch_norm_affine(st.gamma.value, st.beta.value,
                                                 st.run_mean, st.run_var)
-            t = ad.conv2d(t, ad.constant(st.w.value * scale[:, None, None, None]),
-                          ad.constant(shift))
-        t = ad.relu(t)
-    logits = ad.conv2d(t, params.cls_w, params.cls_b)
-    h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
-                              params.ood_run_var, training=training))
-    din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
-                  POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-    for name, v in (("pre-logits", t.value), ("logits", logits.value),
-                    ("dataset posterior", din.value)):
+            t = np.maximum(ad.correlate(t, st.w.value * scale[:, None, None, None], shift), 0.0)
+        logits = ad.correlate(t, params.cls_w.value, params.cls_b.value)
+        scale, shift = ad.batch_norm_affine(params.ood_gamma.value, params.ood_beta.value,
+                                            params.ood_run_mean, params.ood_run_var)
+        h = np.maximum(t * scale.astype(t.dtype)[:, None, None]
+                       + shift.astype(t.dtype)[:, None, None], 0.0)
+        din = np.clip(ad.logistic(ad.correlate(h, params.ood_w.value, params.ood_b.value)),
+                      POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
+        outputs = t, logits, din
+    for name, v in zip(("pre-logits", "logits", "dataset posterior"), outputs):
         if not np.all(np.isfinite(v)):
             raise NumericFailure(f"non-finite {name} in forward pass")
     return ForwardMaps(logits=logits, dataset_posterior=din)

@@ -6,7 +6,7 @@ log-likelihood. The (intractable) normalizer only shifts it by a constant,
 so rankings are unaffected and it is never computed. The score definitions
 built on it live in ``inference``.
 
-All kernels are pure functions over float64 arrays.
+All kernels are pure functions over float arrays, computed in their dtype.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ def log_sum_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log(sum(exp(values))) along ``axis``.
 
     Computed as max + log(sum(exp(values - max))), which is exactly shift
-    invariant and never overflows for finite input.
+    invariant and never overflows for finite input. A float input keeps
+    its dtype; any other is computed in float64.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values)
+    v = v.astype(np.result_type(v, 0.0), copy=False)
     if v.ndim == 0 or v.shape[axis] == 0:
         raise ContractViolation("log_sum_exp needs at least one element along axis")
     m = np.max(v, axis=axis, keepdims=True)

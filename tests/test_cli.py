@@ -255,7 +255,7 @@ class TestScore:
             assert argmax.max() < 3
 
     def test_exported_hybrid_is_the_sum_of_the_parts(self, workspace):
-        # exact in memory; the float32 rasters hold it to within one ulp
+        # exact: hybrid is computed as the float32 sum the rasters store
         scores = workspace["run"] / "scores"
         stems = [r.image[:-4] for r in read_manifest(workspace["manifest"])
                  if r.split == "test"]
@@ -265,14 +265,28 @@ class TestScore:
                        for v in ("hybrid", "generative", "discriminative"))
             parts = g + d
             assert parts.dtype == np.float32
-            ulp = np.spacing(np.maximum(np.abs(h), np.abs(parts)))
-            assert np.all(np.abs(h - parts) <= ulp)
+            np.testing.assert_array_equal(h, parts)
 
     def test_tau_exports_fused_open_maps(self, workspace, tmp_path):
         run_ok(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
                 "--data", workspace["manifest"], "--out", tmp_path, "--tau", "-inf"])
         fused = read_pgm(tmp_path / "test_0000_open.pgm")
         assert np.all(fused == 3)  # everything below an infinitely low bar
+
+    def test_tau_is_compared_with_the_float32_scores_in_float64(self, workspace, tmp_path):
+        # the next double above the top score rounds back to it in float32,
+        # yet no pixel scores at or above it
+        scores = workspace["run"] / "scores"
+        top = float(read_score_raster(scores / "test_0000_hybrid.dhsc").max())
+        argmax = read_pgm(scores / "test_0000_argmax.pgm")
+        above = float(np.nextafter(top, math.inf))
+        assert np.float32(above) == top
+        for tau, outliers in ((above, 0), (top, 1)):
+            run_ok(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
+                    "--data", workspace["manifest"], "--out", tmp_path, "--tau", repr(tau)])
+            fused = read_pgm(tmp_path / "test_0000_open.pgm")
+            assert (np.count_nonzero(fused == 3) >= 1) == bool(outliers)
+            np.testing.assert_array_equal(fused[fused != 3], argmax[fused != 3])
 
     def test_unknown_variant_rejected(self, workspace, tmp_path):
         result = RUNNER.invoke(main, ["score", "--checkpoint",

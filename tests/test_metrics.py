@@ -260,6 +260,14 @@ class TestFuseOpenPrediction:
         np.testing.assert_array_equal(
             fuse_open_prediction(self.ARGMAX.ravel(), self.SCORES.ravel(), 0.5, 2), [0, 2])
 
+    def test_float32_scores_meet_tau_in_float64(self):
+        # 1.00000001 rounds to 1.0 in float32, but 1.0 is still below it
+        scores = np.float32([[1.0, 1.0000001]])
+        np.testing.assert_array_equal(
+            fuse_open_prediction(self.ARGMAX, scores, 1.00000001, 2), [[0, 2]])
+        np.testing.assert_array_equal(
+            fuse_open_prediction(self.ARGMAX, scores, 1.0, 2), [[2, 2]])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             fuse_open_prediction(self.ARGMAX, np.zeros((2, 2)), 0.0, 2)

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import write_v1_checkpoint
 from hybridseg import autodiff as ad
-from hybridseg import inference
 from hybridseg.autodiff import BN_EPS
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
 from hybridseg.inference import SCORE_VARIANTS, score_image
@@ -20,7 +19,7 @@ from hybridseg.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from hybridseg.scoring import POSTERIOR_EPS
+from hybridseg.scoring import POSTERIOR_EPS, log_sum_exp
 
 CFG = NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4, seed=11)
 
@@ -48,15 +47,15 @@ class TestForward:
     def test_zero_init_heads_give_uniform_outputs(self):
         params = init_params(CFG)
         maps = forward(params, rand_image((2, 3, 6, 5)))
-        np.testing.assert_array_equal(maps.logits.value, 0.0)
-        np.testing.assert_array_equal(maps.dataset_posterior.value, 0.5)
+        np.testing.assert_array_equal(maps.logits, 0.0)
+        np.testing.assert_array_equal(maps.dataset_posterior, 0.5)
 
     @pytest.mark.parametrize("hw", [(4, 4), (7, 5), (16, 9), (1, 1)])
     def test_spatial_resolution_preserved(self, hw):
         params = init_params(CFG)
         maps = forward(params, rand_image((1, 3) + hw, seed=3))
-        assert maps.logits.value.shape == (1, CFG.num_classes) + hw
-        assert maps.dataset_posterior.value.shape == (1, 1) + hw
+        assert maps.logits.shape == (1, CFG.num_classes) + hw
+        assert maps.dataset_posterior.shape == (1, 1) + hw
 
     @pytest.mark.parametrize("training", [False, True])
     def test_duplicated_batch_items_give_identical_outputs(self, training):
@@ -65,15 +64,16 @@ class TestForward:
         batch = np.concatenate([img, img], axis=0)
         maps = forward(params, batch, training=training)
         for m in (maps.logits, maps.dataset_posterior):
-            np.testing.assert_array_equal(m.value[0], m.value[1])
+            m = m.value if training else m
+            np.testing.assert_array_equal(m[0], m[1])
 
     def test_posterior_head_independent_of_classifier(self):
         params = init_params(CFG)
         img = rand_image((1, 3, 5, 5), seed=5)
-        before = forward(params, img).dataset_posterior.value.copy()
+        before = forward(params, img).dataset_posterior
         params.cls_w.value += np.random.default_rng(6).normal(size=params.cls_w.value.shape)
         params.cls_b.value += 1.7
-        after = forward(params, img).dataset_posterior.value
+        after = forward(params, img).dataset_posterior
         np.testing.assert_array_equal(before, after)
 
     def test_bad_input_shape_rejected(self):
@@ -91,7 +91,7 @@ class TestForward:
         img = rand_image((2, 3, 6, 6), seed=7)
         a = forward(params, img)
         b = forward(params, img)
-        np.testing.assert_array_equal(a.logits.value, b.logits.value)
+        np.testing.assert_array_equal(a.logits, b.logits)
 
     def test_training_mode_updates_running_stats(self):
         params = init_params(CFG)
@@ -137,10 +137,10 @@ class TestCheckpoint:
         params = init_params(CFG)
         img = rand_image((1, 3, 6, 6), seed=10)
         params.cls_w.value += 0.05
-        expect = forward(params, img).logits.value
+        expect = forward(params, img).logits
         save_checkpoint(tmp_path / "m.dhck", params, step=0)
         loaded, _ = load_checkpoint(tmp_path / "m.dhck")
-        np.testing.assert_array_equal(forward(loaded, img).logits.value, expect)
+        np.testing.assert_array_equal(forward(loaded, img).logits, expect)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.dhck"
@@ -243,7 +243,7 @@ def v1_model(seed=0):
 
 
 class TestVersion1Checkpoint:
-    def test_loads_and_scores_like_the_v1_model(self, tmp_path, monkeypatch):
+    def test_loads_and_scores_like_the_v1_model(self, tmp_path):
         v1, biases = v1_model()
         write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases, step=42)
         loaded, step = load_checkpoint(tmp_path / "v1.dhck")
@@ -252,14 +252,14 @@ class TestVersion1Checkpoint:
         for st, st1, b in zip(loaded.stages, v1.stages, biases):
             np.testing.assert_array_equal(st.run_mean, st1.run_mean - b)
         image = rand_image((3, 9, 7), seed=1)
-        got = score_image(loaded, image)
-        monkeypatch.setattr(inference, "forward",
-                            lambda p, x, training: v1_forward(p, biases, x))
-        want = score_image(v1, image)
-        np.testing.assert_array_equal(got.argmax, want.argmax)
-        assert len(np.unique(want.argmax)) > 1
-        for v in SCORE_VARIANTS:
-            np.testing.assert_allclose(got.variant(v), want.variant(v), rtol=0, atol=1e-12)
+        got = forward(loaded, image[None])
+        want = v1_forward(v1, biases, image[None])
+        for a, b in ((got.logits, want.logits),
+                     (got.dataset_posterior, want.dataset_posterior)):
+            np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
+        want_argmax = want.logits.value[0].argmax(axis=0)
+        assert len(np.unique(want_argmax)) > 1
+        np.testing.assert_array_equal(score_image(loaded, image).argmax, want_argmax)
 
     @pytest.mark.parametrize("momentum,eps", [(0.1, 1e-3), (0.2, 1e-5), (0.1, 0.0)])
     def test_other_batch_norm_settings_rejected(self, tmp_path, momentum, eps):
@@ -311,7 +311,7 @@ class TestEvalFold:
         assert np.ptp(want.logits.value) > 1.0 and np.ptp(want.dataset_posterior.value) > 1e-3
         for a, b in ((got.logits, want.logits),
                      (got.dataset_posterior, want.dataset_posterior)):
-            np.testing.assert_allclose(a.value, b.value, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
 
     def test_leaves_every_array_as_it_was(self, kernel_size):
         params = random_model(kernel_size)
@@ -326,3 +326,48 @@ class TestEvalFold:
         params.stages[stage].run_var[...] = run_var
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericFailure):
             forward(params, rand_image((1, 3, 5, 5), seed=4))
+
+
+@pytest.mark.parametrize("kernel_size", [3, 1])
+class TestEvalForward:
+    """Eval mode runs on plain arrays, in the input's float dtype."""
+
+    def test_builds_no_tensor(self, kernel_size, monkeypatch):
+        params = random_model(kernel_size)
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        forward(params, rand_image((1, 3, 6, 5), seed=5))
+        score_image(params, rand_image((3, 6, 5), seed=5))
+        assert not built
+        forward(params, rand_image((1, 3, 6, 5), seed=5), training=True)
+        assert built  # the counter sees the training graph
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_returns_arrays_in_the_input_dtype(self, kernel_size, dtype):
+        maps = forward(random_model(kernel_size), rand_image((2, 3, 6, 5)).astype(dtype))
+        for m in (maps.logits, maps.dataset_posterior):
+            assert type(m) is np.ndarray and m.dtype == dtype
+
+    def test_float32_scores_match_float64(self, kernel_size):
+        params = random_model(kernel_size)
+        image = 8.0 * rand_image((3, 16, 16), seed=6) - 4.0  # wide enough for two classes
+        got = score_image(params, image)
+        maps = forward(params, image[None])
+        logits, din = maps.logits[0], maps.dataset_posterior[0, 0]
+        assert len(np.unique(logits.argmax(axis=0))) > 1
+        np.testing.assert_array_equal(got.argmax, logits.argmax(axis=0))
+        generative = -log_sum_exp(logits, axis=0)
+        discriminative = np.log1p(-din)
+        want = {"generative": generative, "discriminative": discriminative,
+                "hybrid": generative + discriminative}
+        for v in SCORE_VARIANTS:
+            assert got.variant(v).dtype == np.float32
+            # within 8 float32 ulps at the map's largest magnitude
+            ulp = np.spacing(np.float32(np.abs(want[v]).max()))
+            assert np.abs(got.variant(v) - want[v]).max() <= 8 * ulp

@@ -56,6 +56,25 @@ class TestLogSumExp:
         assert expect == pytest.approx(3.407606, abs=1e-6)
         assert log_sum_exp(np.array(v)) == pytest.approx(expect, abs=1e-12)
 
+    def test_float32_input_keeps_its_dtype(self):
+        # non-negative logits: the max and the log of the sum add without
+        # cancellation, so float32 is within 1 ulp of the float64 result
+        rng = np.random.default_rng(3)
+        logits = rng.uniform(0.0, 8.0, size=(4, 32, 32)).astype(np.float32)
+        out = log_sum_exp(logits, axis=0)
+        assert out.dtype == np.float32
+        want = log_sum_exp(logits.astype(np.float64), axis=0).astype(np.float32)
+        assert np.all(np.abs(out - want) <= np.spacing(want))
+        # with cancellation the error is set by the largest magnitude involved
+        logits = rng.normal(scale=4.0, size=(4, 32, 32)).astype(np.float32)
+        want = log_sum_exp(logits.astype(np.float64), axis=0)
+        scale = np.maximum(np.abs(logits).max(axis=0), np.abs(want)).astype(np.float32)
+        err = np.abs(log_sum_exp(logits, axis=0) - want)
+        assert np.all(err <= 2 * np.spacing(scale))
+
+    def test_integer_input_is_computed_in_float64(self):
+        assert log_sum_exp(np.array([0, 0])).dtype == np.float64
+
     def test_empty_vector_rejected(self):
         with pytest.raises(ContractViolation):
             log_sum_exp(np.empty(0))
@@ -108,10 +127,14 @@ class TestHybridScore:
     CLS_B = RNG.normal(size=4)
 
     def test_reference_pixel(self):
-        # logits (0, 0) and dataset posterior 1/2
+        # logits (0, 0) and dataset posterior 1/2; the maps are float32, so
+        # the tolerance is float32's (pytest.approx against a float32 value
+        # would subtract in float32 and hide any error below its rounding)
         bundle = score_image(hand_set_model([0.0, 0.0]), np.ones((1, 1, 1)))
-        assert bundle.hybrid[0, 0] == pytest.approx(math.log(0.5) - math.log(2), abs=1e-12)
-        assert bundle.hybrid[0, 0] == pytest.approx(-1.386294, abs=1e-6)
+        assert bundle.hybrid.dtype == np.float32
+        expect = math.log(0.5) - math.log(2)
+        assert abs(float(bundle.hybrid[0, 0]) - expect) <= np.spacing(np.float32(-expect))
+        assert float(bundle.hybrid[0, 0]) == pytest.approx(-1.386294, abs=1e-6)
 
     def test_monotone_decreasing_in_inlier_posterior(self):
         # flat logits, dataset posterior rising with the pixel value
@@ -124,8 +147,12 @@ class TestHybridScore:
         base = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_w=1.0), self.IMAGE)
         shifted = score_image(hand_set_model(self.CLS_B + 3.0, self.CLS_W, ood_w=1.0),
                               self.IMAGE)
-        np.testing.assert_allclose(shifted.generative, base.generative - 3.0, atol=1e-12)
-        np.testing.assert_allclose(shifted.hybrid, base.hybrid - 3.0, atol=1e-12)
+        for name in ("generative", "hybrid"):
+            got = shifted.variant(name).astype(np.float64)
+            want = base.variant(name).astype(np.float64) - 3.0
+            # within 2 float32 ulps at the map's largest magnitude
+            ulp = np.spacing(np.float32(np.abs(got).max()))
+            assert np.abs(got - want).max() <= 2 * ulp
         np.testing.assert_array_equal(shifted.discriminative, base.discriminative)
 
     def test_global_likelihood_shift_preserves_orderings(self):
@@ -149,4 +176,4 @@ def test_clamp_posterior_bounds():
     image = np.ones((1, 1, 1, 1))
     for ood_b, expect in ((-1e3, POSTERIOR_EPS), (0.0, 0.5), (1e3, 1.0 - POSTERIOR_EPS)):
         maps = forward(hand_set_model([0.0, 0.0], ood_b=ood_b), image)
-        assert maps.dataset_posterior.value[0, 0, 0, 0] == expect
+        assert maps.dataset_posterior[0, 0, 0, 0] == expect

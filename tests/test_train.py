@@ -175,16 +175,19 @@ class TestScoreImage:
             bundle.hybrid, bundle.discriminative + bundle.generative)
 
     def test_fresh_model_scores_are_flat(self):
-        # zero-initialized heads: logits all 0, dataset posterior 1/2
+        # zero-initialized heads: logits all 0, dataset posterior 1/2; the
+        # maps are float32, so each is within 1 float32 ulp of the exact value
         bundle = score_image(init_params(NET), self.IMAGE)
-        np.testing.assert_allclose(bundle.generative, -math.log(3), atol=1e-12)
-        np.testing.assert_allclose(bundle.discriminative, math.log(0.5), atol=1e-12)
+        for got, want in ((bundle.generative, -math.log(3)),
+                          (bundle.discriminative, math.log(0.5))):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=np.spacing(np.float32(abs(want))))
 
     def test_argmax_matches_posterior(self):
         params = init_params(NET)
         train(params, scene_batcher(), TrainConfig(epochs=1, batches_per_epoch=3))
         bundle = score_image(params, self.IMAGE)
-        logits = forward(params, self.IMAGE[None]).logits.value[0]
+        logits = forward(params, self.IMAGE[None]).logits[0]
         np.testing.assert_array_equal(bundle.argmax, logits.argmax(axis=0))
         # the softmax is monotone, so the class posterior has the same argmax
         e = np.exp(logits - logits.max(axis=0))
@@ -200,8 +203,8 @@ class TestScoreImage:
         np.testing.assert_array_equal(score_image(params, self.IMAGE).argmax, 0)
 
     def test_scoring_leaves_no_reference_cycles(self):
-        # the graph score_image builds is never back-propagated, so plain
-        # refcounting must free it: nothing may be left for the collector
+        # score_image builds no autodiff graph: plain refcounting must free
+        # everything it allocates, leaving nothing for the collector
         params = init_params(NET)
         gc.collect()
         gc.disable()
