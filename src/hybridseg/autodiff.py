@@ -6,8 +6,8 @@ scalar runs the closures in reverse topological order. Gradients inside the
 graph are reset on every call, so each backward pass yields the exact
 gradient of that one scalar.
 
-The op set is deliberately small: elementwise arithmetic, relu/sigmoid/log,
-clip, stride-1 same-padded convolution, per-channel batch normalization,
+The op set is deliberately small: elementwise arithmetic, relu, softplus,
+stride-1 same-padded convolution, per-channel batch normalization,
 channel log-sum-exp, per-pixel channel gather, and masked means. That is
 enough to express the full training objective of the segmentation model.
 Convolution, which sets the cost of a training step, runs each pass as
@@ -15,8 +15,9 @@ one GEMM per cache-sized block of output rows, on columns cut from the
 flat, zero-padded image. Batch-norm, the next cost, makes one centred
 copy of its input and takes its channel sums as einsum contractions; in
 eval mode it is forward-only, one scale and one shift per channel from
-``batch_norm_affine``. The eval-mode forward uses that and two array kernels
-with no graph, in their input's dtype: ``correlate`` and ``logistic``.
+``batch_norm_affine``. The eval-mode forward and the scorer use that and two
+array kernels with no graph, in their input's dtype: ``correlate`` and
+``log1p_exp``.
 """
 
 from __future__ import annotations
@@ -203,37 +204,18 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_val, (x,), backprop)
 
 
-def logistic(v: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-v)) in ``v``'s dtype, never overflowing."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def log1p_exp(v: np.ndarray) -> np.ndarray:
+    """Elementwise softplus ln(1 + e^v) in ``v``'s dtype, never overflowing."""
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_val = logistic(x.value)
-
-    def backprop(g):
-        _accumulate(x, g * out_val * (1.0 - out_val))
-
-    return _make(out_val, (x,), backprop)
-
-
-def log(x: Tensor) -> Tensor:
-    out_val = np.log(x.value)
+def softplus(x: Tensor) -> Tensor:
+    """``log1p_exp`` of ``x``; its derivative, the logistic sigmoid, is
+    exp(x - out), which stays finite at any finite ``x``."""
+    out_val = log1p_exp(x.value)
 
     def backprop(g):
-        _accumulate(x, g / x.value)
-
-    return _make(out_val, (x,), backprop)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes only where unclamped."""
-    inside = (x.value >= lo) & (x.value <= hi)
-    out_val = np.clip(x.value, lo, hi)
-
-    def backprop(g):
-        _accumulate(x, g * inside)
+        _accumulate(x, g * np.exp(x.value - out_val))
 
     return _make(out_val, (x,), backprop)
 

@@ -371,7 +371,8 @@ def toy_grid_batch(points: np.ndarray, class_labels: np.ndarray,
 
 def run_toy_seed(seed: int, n_per_role: int, widths: tuple[int, ...], steps: int,
                  beta: float, lr: float, lr_end: float):
-    """Train on the 2-D benchmark; returns (per-variant metrics, per-point scores).
+    """Train on the 2-D benchmark; returns (per-variant metrics, per-point
+    scores, the test point set).
 
     Metrics per variant: AUROC and AP on all test anomalies, plus AUROC on
     the anomaly modes the training negatives never covered.

@@ -4,7 +4,8 @@ Three score variants are exported, all in the convention "higher = more
 anomalous":
 
 * ``generative``      -ln p_hat(x), the negative unnormalized log-likelihood
-* ``discriminative``  ln(1 - P(d_in | x)) from the dataset-posterior head
+* ``discriminative``  ln(1 - P(d_in | x)) = -softplus(z) of the dataset
+  head's logit z, where P(d_in | x) = sigmoid(z)
 * ``hybrid``          their sum, the log-ratio the method thresholds
 
 Keeping one sign convention means the hybrid map equals the other two added
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import log1p_exp
 from .network import ModelParams, forward
 from .scoring import log_sum_exp
 
@@ -46,9 +48,8 @@ def score_image(params: ModelParams, image: np.ndarray) -> ScoreBundle:
     float32, the rasters' dtype; ``hybrid`` is the float32 sum of its parts."""
     maps = forward(params, np.asarray(image, dtype=np.float32)[None], training=False)
     logits = maps.logits[0]
-    din = maps.dataset_posterior[0, 0]  # forward clamps it into (0, 1)
     generative = -log_sum_exp(logits, axis=0)
-    discriminative = np.log1p(-din)
+    discriminative = -log1p_exp(maps.dataset_logit[0, 0])
     return ScoreBundle(
         argmax=logits.argmax(axis=0),
         hybrid=generative + discriminative,

@@ -49,15 +49,16 @@ class LossBreakdown:
     CSV_FIELDS = ("cls", "posterior_in", "posterior_out", "likelihood_out", "total")
 
 
-def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels,
+def compound_loss(logits: ad.Tensor, dataset_logit: ad.Tensor, labels,
                   beta: float) -> tuple[ad.Tensor, LossBreakdown]:
     """Full training objective and its per-term breakdown.
 
     ``cls`` is the cross-entropy over inlier pixels, ``posterior_in`` and
     ``posterior_out`` the binary cross-entropy of the dataset posterior
-    (-mean ln p over inliers, -mean ln(1-p) over outliers; posterior
-    clamping upstream keeps both finite), and ``likelihood_out`` the mean
-    log-sum-exp of the logits over outlier pixels.
+    p = sigmoid(z) of the head's logit z (-mean ln p = mean softplus(-z)
+    over inliers, -mean ln(1-p) = mean softplus(z) over outliers; both
+    finite for any finite z), and ``likelihood_out`` the mean log-sum-exp
+    of the logits over outlier pixels.
 
     total = cls + posterior_in + beta * (posterior_out + likelihood_out)
     """
@@ -83,8 +84,8 @@ def compound_loss(logits: ad.Tensor, dataset_posterior: ad.Tensor, labels,
     nll = lse - ad.take_channel(logits, np.where(inlier[:, 0], labels, 0))
     cls = ad.masked_mean(nll, inlier)
     lx_out = ad.masked_mean(lse, outlier)
-    d_in = -ad.masked_mean(ad.log(dataset_posterior), inlier)
-    d_out = -ad.masked_mean(ad.log(1.0 - dataset_posterior), outlier)
+    d_in = ad.masked_mean(ad.softplus(-dataset_logit), inlier)
+    d_out = ad.masked_mean(ad.softplus(dataset_logit), outlier)
     total = cls + d_in + beta * (d_out + lx_out)
     breakdown = LossBreakdown(
         cls=cls.item(),

@@ -4,10 +4,10 @@ The backbone is a stack of same-padded conv / batch-norm / relu stages that
 never changes spatial resolution, so every prediction lives at input
 resolution. The backbone convs have no bias: the batch-norm after each one
 subtracts the channel mean and would cancel it. Pre-logit features feed two
-outputs: a 1x1 projection to K class logits, and a norm-relu-1x1-sigmoid
-head estimating the per-pixel probability that the pixel is an inlier.
-Final projections start at zero so an untrained model predicts uniform
-class posteriors and a dataset posterior of 0.5 everywhere.
+outputs: a 1x1 projection to K class logits, and a norm-relu-1x1 head whose
+logit z gives the per-pixel probability sigmoid(z) that the pixel is an
+inlier. Final projections start at zero so an untrained model predicts
+uniform class posteriors and a dataset posterior of 0.5 everywhere.
 
 Checkpoints (format v2) are magic ``DHCK``, the version, the optimizer step,
 the JSON network config, then the arrays of ``ModelParams.named_arrays`` as
@@ -27,7 +27,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractViolation, DataFormatError, NumericFailure
 from .labels import IGNORE_LABEL
-from .scoring import POSTERIOR_EPS
 
 CHECKPOINT_MAGIC = b"DHCK"
 CHECKPOINT_VERSION = 2
@@ -149,8 +148,8 @@ def init_params(config: NetworkConfig) -> ModelParams:
 @dataclass
 class ForwardMaps:
     """Outputs of one forward pass at input resolution; arrays in eval mode."""
-    logits: ad.Tensor | np.ndarray             # (N, K, H, W)
-    dataset_posterior: ad.Tensor | np.ndarray  # (N, 1, H, W), clamped into (0, 1)
+    logits: ad.Tensor | np.ndarray         # (N, K, H, W)
+    dataset_logit: ad.Tensor | np.ndarray  # (N, 1, H, W), z of P(d_in | x) = sigmoid(z)
 
 
 def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> ForwardMaps:
@@ -170,9 +169,8 @@ def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> F
         logits = ad.conv2d(t, params.cls_w, params.cls_b)
         h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
                                   params.ood_run_var, training=True))
-        din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
-                      POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-        outputs = t.value, logits.value, din.value
+        z = ad.conv2d(h, params.ood_w, params.ood_b)
+        outputs = t.value, logits.value, z.value
     else:
         t = x.astype(np.result_type(x, 0.0), copy=False)
         for st in params.stages:
@@ -184,13 +182,12 @@ def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> F
                                             params.ood_run_mean, params.ood_run_var)
         h = np.maximum(t * scale.astype(t.dtype)[:, None, None]
                        + shift.astype(t.dtype)[:, None, None], 0.0)
-        din = np.clip(ad.logistic(ad.correlate(h, params.ood_w.value, params.ood_b.value)),
-                      POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-        outputs = t, logits, din
-    for name, v in zip(("pre-logits", "logits", "dataset posterior"), outputs):
+        z = ad.correlate(h, params.ood_w.value, params.ood_b.value)
+        outputs = t, logits, z
+    for name, v in zip(("pre-logits", "logits", "dataset logit"), outputs):
         if not np.all(np.isfinite(v)):
             raise NumericFailure(f"non-finite {name} in forward pass")
-    return ForwardMaps(logits=logits, dataset_posterior=din)
+    return ForwardMaps(logits=logits, dataset_logit=z)
 
 
 def save_checkpoint(path, params: ModelParams, step: int = 0) -> None:

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import ContractViolation
 
-# Dataset posterior values are clamped away from exact 0/1 so that logs of
-# either side stay finite.
-POSTERIOR_EPS = 1e-7
-
 
 def log_sum_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log(sum(exp(values))) along ``axis``.
@@ -37,5 +33,7 @@ def log_sum_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def unnormalized_log_likelihood(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Per-pixel unnormalized data log-likelihood: log-sum-exp of the logits."""
+    """``log_sum_exp`` under its old name. No code of the package calls it;
+    ``perfbench/tests/test_trace.py`` does, as a traced caller of
+    ``log_sum_exp``, and it goes when that test moves to another caller."""
     return log_sum_exp(logits, axis=axis)

@@ -69,7 +69,7 @@ def train(params: ModelParams, make_batch,
                 images, labels = make_batch(rng)
                 maps = forward(params, images, training=True)
                 total, breakdown = compound_loss(
-                    maps.logits, maps.dataset_posterior, labels, cfg.beta)
+                    maps.logits, maps.dataset_logit, labels, cfg.beta)
                 if not np.isfinite(breakdown.total):
                     raise NumericFailure(f"non-finite loss at epoch {epoch}")
                 opt.zero_grad()

@@ -128,14 +128,14 @@ def test_ac02_loss_gradients_match_finite_differences(report):
     for beta in (0.0, 0.03, 1.0):
         def loss_value():
             maps = forward(params, images, training=True)
-            total, _ = compound_loss(maps.logits, maps.dataset_posterior,
+            total, _ = compound_loss(maps.logits, maps.dataset_logit,
                                      labels, beta)
             restore()
             return float(total.value)
 
         params.zero_grad()
         maps = forward(params, images, training=True)
-        total, _ = compound_loss(maps.logits, maps.dataset_posterior,
+        total, _ = compound_loss(maps.logits, maps.dataset_logit,
                                  labels, beta)
         total.backward()
         restore()

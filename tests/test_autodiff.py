@@ -89,26 +89,30 @@ class TestElementwiseGradients:
         ad.tsum(ad.relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0])
 
-    def test_sigmoid_extremes_stay_finite(self):
-        x = np.array([-500.0, -5.0, 0.0, 5.0, 500.0])
-        out = ad.sigmoid(ad.constant(x))
+    def test_softplus_extremes_stay_finite(self):
+        x = ad.parameter(np.array([-500.0, -5.0, 0.0, 5.0, 500.0]))
+        out = ad.softplus(x)
         assert np.isfinite(out.value).all()
-        assert out.value[0] == pytest.approx(0.0, abs=1e-100)
-        assert out.value[-1] == pytest.approx(1.0)
+        assert 0.0 < out.value[0] == pytest.approx(np.exp(-500.0), rel=1e-12)
+        assert out.value[2] == np.log(2.0) and out.value[-1] == 500.0
+        ad.tsum(out).backward()
+        # the gradient is the logistic sigmoid: finite, in [0, 1], 1/2 at 0
+        assert np.isfinite(x.grad).all()
+        np.testing.assert_allclose(x.grad, 1.0 / (1.0 + np.exp(-x.value)), rtol=1e-15, atol=0)
+        assert x.grad[2] == 0.5 and x.grad[-1] == 1.0
 
-    def test_sigmoid_grad(self):
-        x = np.random.default_rng(1).normal(size=7)
-        check_op_grad(lambda t: ad.tsum(ad.sigmoid(t)), [x], rtol=1e-5)
+    def test_softplus_grad(self):
+        x = 3.0 * np.random.default_rng(1).normal(size=7)
+        check_op_grad(lambda t: ad.tsum(ad.softplus(t)), [x], rtol=1e-5)
 
-    def test_log_grad(self):
-        x = np.random.default_rng(2).uniform(0.5, 3.0, size=6)
-        check_op_grad(lambda t: ad.tsum(ad.log(t)), [x], rtol=1e-5)
-
-    def test_clip_passes_gradient_only_inside(self):
-        x = ad.parameter(np.array([-2.0, 0.3, 2.0]))
-        y = ad.tsum(ad.clip(x, 0.0, 1.0))
-        y.backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_log1p_exp_keeps_dtype_and_matches_logaddexp(self, dtype):
+        v = np.linspace(-120.0, 120.0, 2001).astype(dtype)
+        out = ad.log1p_exp(v)
+        assert out.dtype == dtype
+        # the float32 exp and log1p round once each: at most 2.1 ulps measured
+        want = np.logaddexp(0.0, v.astype(np.float64))
+        assert np.all(np.abs(out - want) <= 3 * np.spacing(want.astype(dtype)))
 
 
 class TestMaskedMean:

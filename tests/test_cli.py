@@ -360,6 +360,20 @@ class TestScore:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 4
 
+    def test_infinite_dataset_logit_is_a_numeric_failure(self, workspace, tmp_path):
+        # an infinite ood.b makes every dataset logit infinite; a sigmoid of
+        # it would still be finite, so the check must see the logit itself
+        params, _ = load_checkpoint(workspace["run"] / "checkpoint.dhck")
+        params.ood_b.value[...] = math.inf
+        bad = tmp_path / "bad.dhck"
+        save_checkpoint(bad, params)
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "non-finite dataset logit" in result.output
+        assert not list((tmp_path / "out").glob("*.dhsc"))
+
 
 class TestEval:
     def test_report_contents(self, workspace):

@@ -13,20 +13,23 @@ from hybridseg.losses import compound_loss
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+LN9 = math.log(9.0)  # the dataset logit of posterior 0.9
+LN999 = math.log(999.0)  # and of 0.999
 
 
-def loss_of(logits, labels, din=0.5, beta=0.03):
-    """`compound_loss` with a constant posterior `din` unless a tensor is given.
+def loss_of(logits, labels, z=0.0, beta=0.03):
+    """`compound_loss` with a constant dataset logit `z` unless a tensor is
+    given; the default 0 is posterior 1/2.
 
-    A constant posterior carries no gradient, so with fixtures of one pixel
-    kind (inlier or outlier) every logit gradient comes from that kind's
-    logit term alone.
+    A constant logit carries no gradient, so with fixtures of one pixel
+    kind (inlier or outlier) every class-logit gradient comes from that
+    kind's logit term alone.
     """
     logits = logits if isinstance(logits, ad.Tensor) else ad.constant(logits)
-    if not isinstance(din, ad.Tensor):
+    if not isinstance(z, ad.Tensor):
         n, _, h, w = logits.value.shape
-        din = ad.constant(np.full((n, 1, h, w), din))
-    return compound_loss(logits, din, np.asarray(labels), beta)
+        z = ad.constant(np.broadcast_to(z, (n, 1, h, w)))
+    return compound_loss(logits, z, np.asarray(labels), beta)
 
 
 def one_pixel(logits_vec):
@@ -40,8 +43,8 @@ def two_pixel_fixture():
     logits = np.zeros((1, 3, 1, 2))
     logits[0, :, 0, 0] = [1.0, 2.0, 3.0]
     labels = np.array([[[2, 3]]])
-    din = np.full((1, 1, 1, 2), 0.5)
-    return ad.constant(logits), ad.constant(din), labels
+    z = np.zeros((1, 1, 1, 2))  # dataset posterior 1/2
+    return ad.constant(logits), ad.constant(z), labels
 
 
 class TestClassification:
@@ -111,24 +114,31 @@ class TestLikelihoodTerms:
 
 class TestPosteriorTerms:
     def test_values(self):
-        _, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]],
-                           din=0.9)
+        _, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]], z=LN9)
         assert parts.posterior_in == pytest.approx(-math.log(0.9), abs=1e-12)
         assert parts.posterior_out == pytest.approx(-math.log(0.1), abs=1e-12)
         assert parts.posterior_out == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_confident_correct_posterior_is_cheap(self):
         _, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]],
-                           din=np.array([[[[0.999, 0.001]]]]))
+                           z=np.array([[[[LN999, -LN999]]]]))
         assert parts.posterior_in < 0.01
         assert parts.posterior_out < 0.01
 
+    def test_confident_wrong_logit_is_charged_in_full(self):
+        # -ln sigmoid(-40) = 40 + ln(1 + e^-40): no floor on the posterior
+        # caps the loss, and its gradient stays at the full -1 per pixel
+        z = ad.parameter(np.array([[[[-40.0, 40.0]]]]))
+        total, parts = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]], z=z, beta=1.0)
+        assert parts.posterior_in == parts.posterior_out == 40.0
+        total.backward()
+        np.testing.assert_array_equal(z.grad, [[[[-1.0, 1.0]]]])
+
     def test_gradients_pull_in_the_right_direction(self):
-        # constant logits and beta 1: the posterior gradient is that of
+        # constant logits and beta 1: the dataset-logit gradient is that of
         # posterior_in + posterior_out
         raw = ad.parameter(np.zeros((1, 1, 1, 2)))
-        total, _ = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]],
-                           din=ad.sigmoid(raw), beta=1.0)
+        total, _ = loss_of(np.zeros((1, 2, 1, 2)), [[[0, 2]]], z=raw, beta=1.0)
         total.backward()
         assert raw.grad[0, 0, 0, 0] < 0  # descent raises posterior at inlier
         assert raw.grad[0, 0, 0, 1] > 0  # and lowers it at outlier
@@ -136,8 +146,8 @@ class TestPosteriorTerms:
 
 class TestCompound:
     def test_fixture_total(self):
-        logits, din, labels = two_pixel_fixture()
-        total, parts = compound_loss(logits, din, labels, beta=0.03)
+        logits, z, labels = two_pixel_fixture()
+        total, parts = compound_loss(logits, z, labels, beta=0.03)
         assert parts.cls == pytest.approx(0.4076059644443802, abs=1e-9)
         assert parts.posterior_in == pytest.approx(LN2, abs=1e-9)
         assert parts.posterior_out == pytest.approx(LN2, abs=1e-9)
@@ -148,47 +158,47 @@ class TestCompound:
         assert parts.total == total.item()
 
     def test_beta_zero_drops_outlier_terms(self):
-        logits, din, labels = two_pixel_fixture()
-        total, parts = compound_loss(logits, din, labels, beta=0.0)
+        logits, z, labels = two_pixel_fixture()
+        total, parts = compound_loss(logits, z, labels, beta=0.0)
         assert total.item() == pytest.approx(parts.cls + parts.posterior_in, abs=1e-12)
         # the components are still reported even when they carry no weight
         assert parts.posterior_out == pytest.approx(LN2, abs=1e-9)
 
     @pytest.mark.parametrize("beta", [-0.01, float("nan"), float("inf")])
     def test_negative_beta_rejected(self, beta):
-        logits, din, labels = two_pixel_fixture()
+        logits, z, labels = two_pixel_fixture()
         with pytest.raises(ContractViolation, match="beta must be finite and >= 0"):
-            compound_loss(logits, din, labels, beta=beta)
+            compound_loss(logits, z, labels, beta=beta)
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 2), (1, 1, 2, 2)])
     def test_labels_must_be_n_h_w(self, shape):
         logits = ad.constant(np.zeros((1, 3, 2, 2)))
-        din = ad.constant(np.full((1, 1, 2, 2), 0.5))
+        z = ad.constant(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ContractViolation,
                            match=re.escape(f"labels must be (1, 2, 2), got {shape}")):
-            compound_loss(logits, din, np.zeros(shape, dtype=np.int64), beta=0.03)
+            compound_loss(logits, z, np.zeros(shape, dtype=np.int64), beta=0.03)
 
     def test_ignore_pixels_are_bit_inert(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(2, 4, 3, 3))
-        din = 1.0 / (1.0 + np.exp(-rng.normal(size=(2, 1, 3, 3))))
+        z = rng.normal(size=(2, 1, 3, 3))
         labels = rng.choice([0, 1, 2, 3, 4, IGNORE_LABEL], size=(2, 3, 3))
         labels[0, 0, 0] = IGNORE_LABEL  # guarantee at least one
-        base, _ = compound_loss(ad.constant(logits), ad.constant(din),
+        base, _ = compound_loss(ad.constant(logits), ad.constant(z),
                                 labels, beta=0.03)
 
         mutated_logits = logits.copy()
-        mutated_din = din.copy()
+        mutated_z = z.copy()
         ig = labels == IGNORE_LABEL
         mutated_logits[np.broadcast_to(ig[:, None], logits.shape)] = 1e6
-        mutated_din[ig[:, None]] = 0.123
-        redo, _ = compound_loss(ad.constant(mutated_logits), ad.constant(mutated_din),
+        mutated_z[ig[:, None]] = -1e6
+        redo, _ = compound_loss(ad.constant(mutated_logits), ad.constant(mutated_z),
                                 labels, beta=0.03)
         assert base.item() == redo.item()  # bitwise identical
 
     def test_pixel_counts(self):
-        logits, din, labels = two_pixel_fixture()
-        _, parts = compound_loss(logits, din, labels, beta=0.03)
+        logits, z, labels = two_pixel_fixture()
+        _, parts = compound_loss(logits, z, labels, beta=0.03)
         assert (parts.inlier_pixels, parts.outlier_pixels, parts.ignore_pixels) == (1, 1, 0)
 
     def test_gradients_match_finite_differences(self):
@@ -201,12 +211,11 @@ class TestCompound:
 
         lt = ad.parameter(logits0.copy())
         rt = ad.parameter(raw0.copy())
-        total, _ = compound_loss(lt, ad.sigmoid(rt), labels, beta=0.03)
+        total, _ = compound_loss(lt, rt, labels, beta=0.03)
         total.backward()
 
         def value():
-            t, _ = compound_loss(ad.constant(logits0), ad.sigmoid(ad.constant(raw0)),
-                                 labels, beta=0.03)
+            t, _ = compound_loss(ad.constant(logits0), ad.constant(raw0), labels, beta=0.03)
             return t.item()
 
         fd_logits, fd_raw = finite_difference(value, [logits0, raw0])
@@ -215,6 +224,6 @@ class TestCompound:
             assert max(errs) < 1e-6
 
     def test_total_is_differentiable_scalar(self):
-        logits, din, labels = two_pixel_fixture()
-        total, _ = compound_loss(logits, din, labels, beta=0.03)
+        logits, z, labels = two_pixel_fixture()
+        total, _ = compound_loss(logits, z, labels, beta=0.03)
         assert total.value.shape == ()

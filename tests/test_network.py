@@ -19,7 +19,7 @@ from hybridseg.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from hybridseg.scoring import POSTERIOR_EPS, log_sum_exp
+from hybridseg.scoring import log_sum_exp
 
 CFG = NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4, seed=11)
 
@@ -48,14 +48,14 @@ class TestForward:
         params = init_params(CFG)
         maps = forward(params, rand_image((2, 3, 6, 5)))
         np.testing.assert_array_equal(maps.logits, 0.0)
-        np.testing.assert_array_equal(maps.dataset_posterior, 0.5)
+        np.testing.assert_array_equal(maps.dataset_logit, 0.0)
 
     @pytest.mark.parametrize("hw", [(4, 4), (7, 5), (16, 9), (1, 1)])
     def test_spatial_resolution_preserved(self, hw):
         params = init_params(CFG)
         maps = forward(params, rand_image((1, 3) + hw, seed=3))
         assert maps.logits.shape == (1, CFG.num_classes) + hw
-        assert maps.dataset_posterior.shape == (1, 1) + hw
+        assert maps.dataset_logit.shape == (1, 1) + hw
 
     @pytest.mark.parametrize("training", [False, True])
     def test_duplicated_batch_items_give_identical_outputs(self, training):
@@ -63,17 +63,17 @@ class TestForward:
         img = rand_image((1, 3, 5, 5), seed=4)
         batch = np.concatenate([img, img], axis=0)
         maps = forward(params, batch, training=training)
-        for m in (maps.logits, maps.dataset_posterior):
+        for m in (maps.logits, maps.dataset_logit):
             m = m.value if training else m
             np.testing.assert_array_equal(m[0], m[1])
 
     def test_posterior_head_independent_of_classifier(self):
         params = init_params(CFG)
         img = rand_image((1, 3, 5, 5), seed=5)
-        before = forward(params, img).dataset_posterior
+        before = forward(params, img).dataset_logit
         params.cls_w.value += np.random.default_rng(6).normal(size=params.cls_w.value.shape)
         params.cls_b.value += 1.7
-        after = forward(params, img).dataset_posterior
+        after = forward(params, img).dataset_logit
         np.testing.assert_array_equal(before, after)
 
     def test_bad_input_shape_rejected(self):
@@ -223,9 +223,8 @@ def v1_forward(params, stage_biases, image):
                                   st.run_mean, st.run_var, training=False))
     h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
                               params.ood_run_var, training=False))
-    din = ad.clip(ad.sigmoid(ad.conv2d(h, params.ood_w, params.ood_b)),
-                  POSTERIOR_EPS, 1.0 - POSTERIOR_EPS)
-    return ForwardMaps(logits=ad.conv2d(t, params.cls_w, params.cls_b), dataset_posterior=din)
+    return ForwardMaps(logits=ad.conv2d(t, params.cls_w, params.cls_b),
+                       dataset_logit=ad.conv2d(h, params.ood_w, params.ood_b))
 
 
 def v1_model(seed=0):
@@ -255,7 +254,7 @@ class TestVersion1Checkpoint:
         got = forward(loaded, image[None])
         want = v1_forward(v1, biases, image[None])
         for a, b in ((got.logits, want.logits),
-                     (got.dataset_posterior, want.dataset_posterior)):
+                     (got.dataset_logit, want.dataset_logit)):
             np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
         want_argmax = want.logits.value[0].argmax(axis=0)
         assert len(np.unique(want_argmax)) > 1
@@ -308,9 +307,9 @@ class TestEvalFold:
         got = forward(params, image)
         # with zero biases v1_forward is conv -> batch_norm(training=False) -> relu
         want = v1_forward(params, [np.zeros(w) for w in params.config.widths], image)
-        assert np.ptp(want.logits.value) > 1.0 and np.ptp(want.dataset_posterior.value) > 1e-3
+        assert np.ptp(want.logits.value) > 1.0 and np.ptp(want.dataset_logit.value) > 1e-3
         for a, b in ((got.logits, want.logits),
-                     (got.dataset_posterior, want.dataset_posterior)):
+                     (got.dataset_logit, want.dataset_logit)):
             np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
 
     def test_leaves_every_array_as_it_was(self, kernel_size):
@@ -351,7 +350,7 @@ class TestEvalForward:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_returns_arrays_in_the_input_dtype(self, kernel_size, dtype):
         maps = forward(random_model(kernel_size), rand_image((2, 3, 6, 5)).astype(dtype))
-        for m in (maps.logits, maps.dataset_posterior):
+        for m in (maps.logits, maps.dataset_logit):
             assert type(m) is np.ndarray and m.dtype == dtype
 
     def test_float32_scores_match_float64(self, kernel_size):
@@ -359,11 +358,11 @@ class TestEvalForward:
         image = 8.0 * rand_image((3, 16, 16), seed=6) - 4.0  # wide enough for two classes
         got = score_image(params, image)
         maps = forward(params, image[None])
-        logits, din = maps.logits[0], maps.dataset_posterior[0, 0]
+        logits, z = maps.logits[0], maps.dataset_logit[0, 0]
         assert len(np.unique(logits.argmax(axis=0))) > 1
         np.testing.assert_array_equal(got.argmax, logits.argmax(axis=0))
         generative = -log_sum_exp(logits, axis=0)
-        discriminative = np.log1p(-din)
+        discriminative = -np.logaddexp(0.0, z)
         want = {"generative": generative, "discriminative": discriminative,
                 "hybrid": generative + discriminative}
         for v in SCORE_VARIANTS:
@@ -371,3 +370,17 @@ class TestEvalForward:
             # within 8 float32 ulps at the map's largest magnitude
             ulp = np.spacing(np.float32(np.abs(want[v]).max()))
             assert np.abs(got.variant(v) - want[v]).max() <= 8 * ulp
+
+    def test_float32_discriminative_is_exact_softplus_of_its_logit(self, kernel_size):
+        # a confident inlier head (logits from about 5 to 22): ln(1 - sigmoid(z))
+        # = -softplus(z) of the float32 logit keeps float32's relative precision
+        # at every pixel; through the float32 posterior it was 1e4+ ulps off
+        params = random_model(kernel_size)
+        params.ood_w.value *= 10.0
+        params.ood_b.value[...] = 40.0
+        image = 8.0 * rand_image((3, 16, 16), seed=6) - 4.0
+        got = score_image(params, image).discriminative
+        z = forward(params, image[None].astype(np.float32)).dataset_logit[0, 0]
+        assert z.min() > 4.0 and np.ptp(z) > 10.0
+        want = -np.logaddexp(0.0, z.astype(np.float64))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want).astype(np.float32)))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hybridseg.errors import ContractViolation
 from hybridseg.inference import score_image
 from hybridseg.network import NetworkConfig, forward, init_params
-from hybridseg.scoring import POSTERIOR_EPS, log_sum_exp, unnormalized_log_likelihood
+from hybridseg.scoring import log_sum_exp
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -23,7 +23,7 @@ def hand_set_model(cls_b, cls_w=0.0, ood_w=0.0, ood_b=0.0):
 
     The single 1x1 stage passes a non-negative image through (up to the
     eval-mode batch-norm factor), so pixel value x gives logits
-    ``cls_w * x + cls_b`` and a dataset posterior ``sigmoid(ood_w * x + ood_b)``.
+    ``cls_w * x + cls_b`` and a dataset logit ``ood_w * x + ood_b``.
     """
     params = init_params(NetworkConfig(input_channels=1, widths=(1,),
                                        num_classes=len(cls_b), kernel_size=1))
@@ -97,25 +97,25 @@ class TestLogSumExp:
 
 
 class TestUnnormalizedLogLikelihood:
+    """The per-pixel unnormalized log-likelihood is the log-sum-exp of the
+    logits, over the last axis by default."""
+
     def test_matches_lse_per_pixel(self):
         logits = np.random.default_rng(0).normal(size=(4, 5, 3))
-        out = unnormalized_log_likelihood(logits)
+        out = log_sum_exp(logits)
         assert out.shape == (4, 5)
         for i in range(4):
             for j in range(5):
                 assert out[i, j] == log_sum_exp(logits[i, j])
 
     def test_pixel_examples(self):
-        assert unnormalized_log_likelihood(np.array([0.0, 0.0])) == pytest.approx(
-            math.log(2), abs=1e-12)
-        assert unnormalized_log_likelihood(np.array([1.0, 2.0, 3.0])) == pytest.approx(
-            3.407606, abs=1e-6)
+        assert log_sum_exp(np.array([0.0, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
+        assert log_sum_exp(np.array([1.0, 2.0, 3.0])) == pytest.approx(3.407606, abs=1e-6)
 
     def test_adding_constant_raises_output_by_constant(self):
         logits = np.random.default_rng(1).normal(size=(3, 3, 4))
-        base = unnormalized_log_likelihood(logits)
-        np.testing.assert_allclose(unnormalized_log_likelihood(logits + 2.5),
-                                   base + 2.5, atol=1e-12)
+        base = log_sum_exp(logits)
+        np.testing.assert_allclose(log_sum_exp(logits + 2.5), base + 2.5, atol=1e-12)
 
 
 class TestHybridScore:
@@ -171,9 +171,18 @@ class TestHybridScore:
                 assert np.isfinite(bundle.variant(name)).all()
 
 
-def test_clamp_posterior_bounds():
-    # forward clamps the dataset posterior into [eps, 1 - eps]
+def test_forward_returns_the_unclamped_dataset_logit():
     image = np.ones((1, 1, 1, 1))
-    for ood_b, expect in ((-1e3, POSTERIOR_EPS), (0.0, 0.5), (1e3, 1.0 - POSTERIOR_EPS)):
+    for ood_b in (-1e3, 0.0, 1e3):
         maps = forward(hand_set_model([0.0, 0.0], ood_b=ood_b), image)
-        assert maps.dataset_posterior[0, 0, 0, 0] == expect
+        assert maps.dataset_logit[0, 0, 0, 0] == ood_b
+
+
+@pytest.mark.parametrize("ood_b", [20.0, 40.0, 80.0])
+def test_discriminative_keeps_confident_inliers_apart(ood_b):
+    # ln(1 - sigmoid(z)) = -z - ln(1 + e^-z) rounds to -z in float32 here,
+    # so each logit keeps its own score: nothing floors the posterior
+    bundle = score_image(hand_set_model([0.0, 0.0], ood_b=ood_b), np.ones((1, 2, 2)))
+    got = bundle.discriminative
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got.astype(np.float64) + ood_b) <= np.spacing(np.float32(ood_b)))
