@@ -2,9 +2,10 @@
 
 Every operation eagerly computes its forward value and records a closure
 that routes the output gradient back to its parents. ``backward()`` on a
-scalar runs the closures in reverse topological order. Gradients inside the
-graph are reset on every call, so each backward pass yields the exact
-gradient of that one scalar.
+scalar runs the closures in reverse topological order and releases each
+node once its closure has run, so only the leaves (and the scalar) keep a
+``grad``. Leaf gradients are reset on every call, so each backward pass
+yields the exact gradient of that one scalar.
 
 The op set is deliberately small: elementwise arithmetic, relu, softplus,
 stride-1 same-padded convolution, per-channel batch normalization,
@@ -53,16 +54,18 @@ class Tensor:
         return float(self.value)
 
     def backward(self) -> None:
-        """Populate ``grad`` for every tensor this scalar depends on,
-        then release the graph.
+        """Populate ``grad`` on the leaves this scalar depends on (and on
+        the scalar itself), releasing the graph as it is walked.
 
-        The closures hold every intermediate activation, and the caller
-        usually keeps the loss until the next step's forward has run.
-        Dropping ``_parents`` and ``_backprop`` here frees one step's
-        activations before the next forward builds its own, so a training
-        loop holds one graph at a time, not two.  The cost is that a graph
-        can only be walked once; build a fresh one per step (the second
-        call raises).
+        The closures hold every intermediate activation. Nodes are popped
+        root first; once a node's closure has run, its ``_parents``,
+        ``_backprop`` and (unless it is the root) ``grad`` are dropped, so
+        each activation and interior gradient is freed as soon as nothing
+        upstream needs it. Backward therefore needs little memory beyond
+        the one graph, and a training loop never holds two graphs at once.
+        Leaves (nodes with no closure, such as parameters) keep their
+        ``grad``. The cost is that a graph can only be walked once; build a
+        fresh one per step (the second call raises).
         """
         if self._backprop is None and not self._parents:
             raise ContractViolation("backward() on a tensor with no recorded graph")
@@ -72,12 +75,14 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backprop is not None:
                 node._backprop(node.grad)
-        for node in order:
+                node._backprop = None
+                if node is not self:
+                    node.grad = None
             node._parents = ()
-            node._backprop = None
 
     # operator sugar; scalars and arrays are lifted to constants
     def __add__(self, other):

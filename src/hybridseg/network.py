@@ -19,6 +19,8 @@ bias into its stage's running mean, giving the same outputs up to rounding.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -109,40 +111,47 @@ class ModelParams:
             t.grad = None
 
     def copy(self) -> "ModelParams":
-        other = init_params(self.config)
-        for (_, dst), (_, src) in zip(other.named_arrays(), self.named_arrays()):
-            dst[...] = src
-        return other
+        return _assemble(self.config, dict(self.named_arrays()))
+
+
+def param_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every persistent array in checkpoint order, the one
+    statement of the layout that ``init_params`` fills and that
+    ``load_checkpoint`` checks a file's size against."""
+    k, c, n = config.kernel_size, config.input_channels, config.num_classes
+    shapes = []
+    for i, width in enumerate(config.widths):
+        shapes += [(f"stage{i}.w", (width, c, k, k))] + [
+            (f"stage{i}.{f}", (width,)) for f in ("gamma", "beta", "run_mean", "run_var")]
+        c = width
+    return shapes + [("cls.w", (n, c, 1, 1)), ("cls.b", (n,))] + [
+        (f"ood.{f}", (c,)) for f in ("gamma", "beta", "run_mean", "run_var")] + [
+        ("ood.w", (1, c, 1, 1)), ("ood.b", (1,))]
+
+
+def _assemble(config: NetworkConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
+    """A model holding copies of ``arrays`` (keyed as ``param_shapes``); the
+    running statistics stay arrays, everything else becomes a parameter."""
+    def take(name):
+        a = arrays[name]
+        return np.array(a, dtype=np.float64) if ".run_" in name else ad.parameter(a)
+    stages = [ConvStage(**{f.name: take(f"stage{i}.{f.name}") for f in fields(ConvStage)})
+              for i in range(len(config.widths))]
+    heads = {f.name: take(f.name.replace("_", ".", 1)) for f in fields(ModelParams)[2:]}
+    return ModelParams(config, stages, **heads)
 
 
 def init_params(config: NetworkConfig) -> ModelParams:
     """Fan-in scaled uniform init for the backbone; zero init for both heads."""
     rng = np.random.default_rng(config.seed)
-    params = ModelParams(config=config)
-    c_in = config.input_channels
-    k = config.kernel_size
-    for width in config.widths:
-        fan_in = c_in * k * k
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(width, c_in, k, k))
-        params.stages.append(ConvStage(
-            w=ad.parameter(w),
-            gamma=ad.parameter(np.ones(width)),
-            beta=ad.parameter(np.zeros(width)),
-            run_mean=np.zeros(width),
-            run_var=np.ones(width),
-        ))
-        c_in = width
-    f = config.widths[-1]
-    params.cls_w = ad.parameter(np.zeros((config.num_classes, f, 1, 1)))
-    params.cls_b = ad.parameter(np.zeros(config.num_classes))
-    params.ood_gamma = ad.parameter(np.ones(f))
-    params.ood_beta = ad.parameter(np.zeros(f))
-    params.ood_run_mean = np.zeros(f)
-    params.ood_run_var = np.ones(f)
-    params.ood_w = ad.parameter(np.zeros((1, f, 1, 1)))
-    params.ood_b = ad.parameter(np.zeros(1))
-    return params
+    arrays = {}
+    for name, shape in param_shapes(config):
+        if name.startswith("stage") and name.endswith(".w"):
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            arrays[name] = (np.ones if name.endswith(("gamma", "run_var")) else np.zeros)(shape)
+    return _assemble(config, arrays)
 
 
 @dataclass
@@ -226,7 +235,9 @@ def _read_array(f, shape, path, name: str) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, int]:
-    """Read a v2 checkpoint, or a v1 one with its stage biases folded away."""
+    """Read a v2 checkpoint, or a v1 one with its stage biases folded away.
+    The file's size is checked against its config before any array is
+    allocated, so a config that declares huge widths is a format error."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad checkpoint magic")
@@ -235,15 +246,22 @@ def load_checkpoint(path) -> tuple[ModelParams, int]:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         step, = struct.unpack("<Q", _read_exact(f, 8, path, "step"))
         cfg_len, = struct.unpack("<I", _read_exact(f, 4, path, "config length"))
-        params = init_params(_read_config(_read_exact(f, cfg_len, path, "config"),
-                                          version, path))
-        biases = []
-        for name, arr in params.named_arrays():
-            arr[...] = _read_array(f, arr.shape, path, name)
+        config = _read_config(_read_exact(f, cfg_len, path, "config"), version, path)
+        layout = []
+        for name, shape in param_shapes(config):
+            layout.append((name, shape))
             if version == 1 and name.startswith("stage") and name.endswith(".w"):
-                biases.append(_read_array(f, arr.shape[:1], path, name[:-1] + "b"))
-        if f.read(1):
+                layout.append((name[:-1] + "b", shape[:1]))  # v1's conv bias
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        for name, shape in layout:
+            left -= 8 * math.prod(shape)
+            if left < 0:
+                raise DataFormatError(f"{path}: truncated checkpoint at {name}")
+        if left:
             raise DataFormatError(f"{path}: trailing bytes after parameters")
-    for st, b in zip(params.stages, biases):
-        st.run_mean -= b  # batch-norm subtracts the bias with the mean
+        arrays = {name: _read_array(f, shape, path, name) for name, shape in layout}
+    params = _assemble(config, arrays)
+    if version == 1:
+        for i, st in enumerate(params.stages):
+            st.run_mean -= arrays[f"stage{i}.b"]  # batch-norm subtracts the bias with the mean
     return params, step

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import finite_difference, reference_batch_norm, rel_err
@@ -36,12 +38,44 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(x.grad, first)
 
     def test_backward_releases_graph(self):
-        x = ad.parameter(3.0)
-        y = ad.mul(x, x)
-        y.backward()
-        assert y._parents == () and y._backprop is None
+        # loss = sum((relu(w x) + c)^2): every node is released, interior
+        # grads are dropped, and the leaves and the root keep theirs
+        x, w = ad.parameter(np.arange(3.0)), ad.parameter(2.0)
+        c = ad.constant(np.array([1.0, -1.0, 0.5]))
+        h = ad.relu(ad.mul(x, w))
+        inner = [h._parents[0], h, ad.add(h, c)]
+        loss = ad.tsum(ad.mul(inner[-1], inner[-1]))
+        inner.append(loss._parents[0])
+        loss.backward()
+        for node in inner + [loss, x, w, c]:
+            assert node._parents == () and node._backprop is None
+        assert all(node.grad is None for node in inner)
+        assert loss.grad == 1.0
+        # 2 (w x + c) times w, x and 1 where w x > 0, i.e. at x = 1 and 2
+        np.testing.assert_array_equal(x.grad, [0.0, 4.0, 18.0])
+        assert w.grad == 2 * (1 * 1 + 4.5 * 2)
+        np.testing.assert_array_equal(c.grad, [2.0, 2.0, 9.0])
         with pytest.raises(ContractViolation):
-            y.backward()
+            loss.backward()
+
+    def test_backward_frees_the_chain_as_it_walks_it(self):
+        # 16 rounds of 1 MiB activations: holding every interior gradient
+        # until the walk ends would take about 33 MiB more
+        x = ad.parameter(np.random.default_rng(0).normal(size=2 ** 17))
+        y = x
+        for _ in range(16):
+            y = ad.relu(ad.mul(y, ad.constant(1.5)))
+        loss = ad.tsum(y)
+        del y
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        np.testing.assert_array_equal(x.grad, np.where(x.value > 0, 1.5 ** 16, 0.0))
 
     def test_constant_times_zero_gives_exact_zero_grads(self):
         x = ad.parameter(np.arange(4.0))

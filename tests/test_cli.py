@@ -58,6 +58,17 @@ def workspace(tmp_path_factory):
     return {"data": data, "manifest": manifest, "run": run}
 
 
+def huge_widths_checkpoint(workspace, tmp_path, widths: str):
+    """The pipeline's checkpoint with its config's widths replaced by ``widths``."""
+    data = (workspace["run"] / "checkpoint.dhck").read_bytes()
+    cfg_len, = struct.unpack("<I", data[16:20])
+    blob = data[20:20 + cfg_len].replace(b'"widths":[6,8]', b'"widths":' + widths.encode())
+    assert widths.encode() in blob
+    bad = tmp_path / "huge.dhck"
+    bad.write_bytes(data[:16] + struct.pack("<I", len(blob)) + blob + data[20 + cfg_len:])
+    return bad
+
+
 def read_metric_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "split,metric,bin,value,status"
@@ -154,6 +165,16 @@ class TestTrain:
         out = tmp_path / "run" / "checkpoint.dhck"
         assert out.read_bytes()[4:8] == struct.pack("<I", CHECKPOINT_VERSION)
         assert load_checkpoint(out)[1] == 8
+
+    def test_resume_from_a_checkpoint_declaring_huge_widths_is_a_data_error(
+            self, workspace, tmp_path):
+        bad = huge_widths_checkpoint(workspace, tmp_path, "[1000000000]")
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path / "run", "--resume", bad]])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "truncated checkpoint at stage0.w" in result.output
+        assert not (tmp_path / "run" / "checkpoint.dhck").exists()
 
     def test_resume_class_count_mismatch(self, workspace, tmp_path):
         result = RUNNER.invoke(main, [str(a) for a in
@@ -349,6 +370,18 @@ class TestScore:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3, result.output
         assert "malformed checkpoint config" in result.output
+
+    @pytest.mark.parametrize("widths", ["[1000000000]", "[200000,200000]"])
+    def test_checkpoint_declaring_huge_widths_is_a_data_error(self, workspace, tmp_path,
+                                                              widths):
+        # 201 GiB and 2.6 TiB of parameters that the file does not hold: the
+        # size check must reject them before anything is allocated
+        bad = huge_widths_checkpoint(workspace, tmp_path, widths)
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "truncated checkpoint at stage0.w" in result.output
 
     def test_non_finite_checkpoint_is_a_numeric_failure(self, workspace, tmp_path):
         params = init_params(NetworkConfig(input_channels=3, widths=(6, 8), num_classes=3))

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hybridseg.network import (
     forward,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
 from hybridseg.scoring import log_sum_exp
@@ -215,6 +217,47 @@ class TestCheckpoint:
         assert len(data) == 20 + len(blob) + 8 * values
 
 
+    def test_param_shapes_is_the_layout_of_init_params(self):
+        for cfg in (CFG, NetworkConfig(input_channels=1, widths=(3,), num_classes=2,
+                                       kernel_size=1)):
+            assert param_shapes(cfg) == [(name, a.shape)
+                                         for name, a in init_params(cfg).named_arrays()]
+
+    def test_copy_is_equal_and_independent(self):
+        params = init_params(CFG)
+        params.stages[0].run_mean += 1.0
+        other = params.copy()
+        for (na, a), (nb, b) in zip(params.named_arrays(), other.named_arrays()):
+            assert na == nb and a is not b
+            np.testing.assert_array_equal(a, b)
+        assert [n for n, _ in other.trainable()] == [n for n, _ in params.trainable()]
+
+    @pytest.mark.parametrize("widths", ["[600,600]", "[1000000000]", "[200000,200000]",
+                                        "[4611686018427387904,4611686018427387904]"])
+    def test_declared_size_is_checked_before_allocation(self, tmp_path, widths):
+        # the file holds CFG's arrays, far fewer bytes than these widths need
+        save_checkpoint(tmp_path / "m.dhck", init_params(CFG), step=0)
+        data = (tmp_path / "m.dhck").read_bytes()
+        cfg_len, = struct.unpack("<I", data[16:20])
+        blob = data[20:20 + cfg_len].replace(b"[8,12]", widths.encode())
+        (tmp_path / "m.dhck").write_bytes(data[:16] + struct.pack("<I", len(blob)) + blob
+                                          + data[20 + cfg_len:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="truncated checkpoint at stage0.w"):
+                load_checkpoint(tmp_path / "m.dhck")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m.dhck", init_params(CFG), step=0)
+        (tmp_path / "m.dhck").write_bytes((tmp_path / "m.dhck").read_bytes() + bytes(8))
+        with pytest.raises(DataFormatError, match="trailing bytes"):
+            load_checkpoint(tmp_path / "m.dhck")
+
+
 def v1_forward(params, stage_biases, image):
     """Eval-mode forward of a version-1 model, whose backbone convs add a bias."""
     t = ad.constant(image)
@@ -266,6 +309,16 @@ class TestVersion1Checkpoint:
         write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases, bn_momentum=momentum,
                             bn_eps=eps)
         with pytest.raises(DataFormatError, match="batch-norm"):
+            load_checkpoint(tmp_path / "v1.dhck")
+
+    @pytest.mark.parametrize("extra,match", [(8, "trailing bytes"),
+                                             (-8, "truncated checkpoint at ood.b")])
+    def test_size_counts_one_bias_per_stage(self, tmp_path, extra, match):
+        v1, biases = v1_model()
+        write_v1_checkpoint(tmp_path / "v1.dhck", v1, biases)
+        data = (tmp_path / "v1.dhck").read_bytes()
+        (tmp_path / "v1.dhck").write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
+        with pytest.raises(DataFormatError, match=match):
             load_checkpoint(tmp_path / "v1.dhck")
 
     def test_truncated_bias_rejected(self, tmp_path):

@@ -14,7 +14,7 @@ from hybridseg.data import (
 from hybridseg.errors import ContractViolation, TrainingDiverged
 from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.labels import IGNORE_LABEL
-from hybridseg.losses import LossBreakdown
+from hybridseg.losses import LossBreakdown, compound_loss
 from hybridseg.network import NetworkConfig, forward, init_params
 from hybridseg.optim import LrSchedule
 from hybridseg.train import TrainConfig, _epoch_mean, train
@@ -210,6 +210,22 @@ class TestScoreImage:
         gc.disable()
         try:
             score_image(params, np.random.default_rng(1).uniform(size=(3, 64, 64)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_training_step_leaves_no_reference_cycles(self):
+        # backward releases every node it walks and no closure captures its
+        # own output, so refcounting frees the whole step's graph
+        params = init_params(NET)
+        images, labels = scene_batcher()(np.random.default_rng(2))
+        gc.collect()
+        gc.disable()
+        try:
+            maps = forward(params, images, training=True)
+            total, _ = compound_loss(maps.logits, maps.dataset_logit, labels, 0.03)
+            total.backward()
+            del maps, total
             assert gc.collect() == 0
         finally:
             gc.enable()
