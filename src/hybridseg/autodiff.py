@@ -7,10 +7,11 @@ node once its closure has run, so only the leaves (and the scalar) keep a
 ``grad``. Leaf gradients are reset on every call, so each backward pass
 yields the exact gradient of that one scalar.
 
-The op set is deliberately small: elementwise arithmetic, relu, softplus,
-stride-1 same-padded convolution, per-channel batch normalization,
-channel log-sum-exp, per-pixel channel gather, and masked means. That is
-enough to express the full training objective of the segmentation model.
+The op set is deliberately small: the backbone's stride-1 same-padded
+convolution, per-channel batch normalization and relu, plus ``mul`` and
+``tsum``, which reduce an output to a scalar for the tests and the
+benchmark's backward replays. The training objective is one node of its
+own, built with ``_make`` in ``losses``.
 Convolution, which sets the cost of a training step, runs each pass as
 one GEMM per cache-sized block of output rows, on columns cut from the
 flat, zero-padded image. Batch-norm, the next cost, makes one centred
@@ -18,7 +19,7 @@ copy of its input and takes its channel sums as einsum contractions; in
 eval mode it is forward-only, one scale and one shift per channel from
 ``batch_norm_affine``. The eval-mode forward and the scorer use that and two
 array kernels with no graph, in their input's dtype: ``correlate`` and
-``log1p_exp``.
+``log1p_exp``, which the loss uses too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .scoring import log_sum_exp
 
 # Output rows per conv2d GEMM block: at 32 channels, 3x3 and 64 px a block's
 # columns are 288 x 528 float64, 1.2 MB, which stay in a 2 MiB L2.
@@ -84,28 +84,6 @@ class Tensor:
                     node.grad = None
             node._parents = ()
 
-    # operator sugar; scalars and arrays are lifted to constants
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -116,10 +94,6 @@ def constant(value) -> Tensor:
 
 def parameter(value) -> Tensor:
     return Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -167,26 +141,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_val = a.value + b.value
-
-    def backprop(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
-
-    return _make(out_val, (a, b), backprop)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_val = a.value - b.value
-
-    def backprop(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(-g, b.value.shape))
-
-    return _make(out_val, (a, b), backprop)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_val = a.value * b.value
 
@@ -214,42 +168,11 @@ def log1p_exp(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
 
-def softplus(x: Tensor) -> Tensor:
-    """``log1p_exp`` of ``x``; its derivative, the logistic sigmoid, is
-    exp(x - out), which stays finite at any finite ``x``."""
-    out_val = log1p_exp(x.value)
-
-    def backprop(g):
-        _accumulate(x, g * np.exp(x.value - out_val))
-
-    return _make(out_val, (x,), backprop)
-
-
 def tsum(x: Tensor) -> Tensor:
     out_val = np.asarray(x.value.sum())
 
     def backprop(g):
         _accumulate(x, np.broadcast_to(g, x.value.shape))
-
-    return _make(out_val, (x,), backprop)
-
-
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of ``x`` over the True entries of a same-shaped boolean mask.
-
-    An empty mask yields the constant 0 and carries no gradient, so loss
-    terms over absent pixel roles drop out of the graph entirely.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.value.shape:
-        raise ContractViolation(f"mask shape {mask.shape} != value shape {x.value.shape}")
-    n = int(mask.sum())
-    if n == 0:
-        return constant(0.0)
-    out_val = np.asarray(x.value.sum(where=mask) / n)
-
-    def backprop(g):
-        _accumulate(x, g * mask / n)
 
     return _make(out_val, (x,), backprop)
 
@@ -425,35 +348,3 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         _accumulate(x, gx.reshape(xv.shape))
 
     return _make(out_val.reshape(xv.shape), (x, gamma, beta), backprop)
-
-
-def channel_log_sum_exp(x: Tensor) -> Tensor:
-    """Per-pixel log-sum-exp over the channel axis of NCHW input; keeps dims."""
-    xv = x.value
-    out_val = np.expand_dims(log_sum_exp(xv, axis=1), 1)
-
-    def backprop(g):
-        softmax = np.exp(xv - out_val)
-        _accumulate(x, g * softmax)
-
-    return _make(out_val, (x,), backprop)
-
-
-def take_channel(x: Tensor, index_map: np.ndarray) -> Tensor:
-    """Gather one channel per pixel: out[n,0,h,w] = x[n, idx[n,h,w], h, w]."""
-    idx = np.asarray(index_map)
-    if idx.shape != (x.value.shape[0],) + x.value.shape[2:]:
-        raise ContractViolation("index map must be (N,H,W) matching the input")
-    if idx.min() < 0 or idx.max() >= x.value.shape[1]:
-        raise ContractViolation("channel index out of range")
-    idx4 = idx[:, None]
-    out_val = np.take_along_axis(x.value, idx4, axis=1)
-
-    def backprop(g):
-        gx = np.zeros_like(x.value)
-        # each output element maps to exactly one input channel, so a plain
-        # put works as scatter-add
-        np.put_along_axis(gx, idx4, g, axis=1)
-        _accumulate(x, gx)
-
-    return _make(out_val, (x,), backprop)

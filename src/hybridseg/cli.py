@@ -60,6 +60,10 @@ from .rasters import read_pgm, read_score_raster, write_pgm, write_score_raster
 from .train import TrainConfig, train
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
+# the keys that set a subcommand's array sizes, named when it runs out of memory
+SIZE_KEYS = {"synth": "scene_size, toy_points or a split count",
+             "train": "widths, kernel_size, batch_size, crop_size or patch_count",
+             "toy": "widths or n_per_role"}
 
 
 def _guarded(fn):
@@ -76,6 +80,11 @@ def _guarded(fn):
         except NumericFailure as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)
+        except MemoryError as exc:
+            name = click.get_current_context().info_name
+            click.echo(f"config error: {name} needs more memory than there is ({exc}); "
+                       f"lower {SIZE_KEYS.get(name, 'the input sizes')}", err=True)
+            sys.exit(EXIT_CONFIG)
     return wrapper
 
 

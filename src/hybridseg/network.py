@@ -106,10 +106,6 @@ class ModelParams:
     def trainable(self) -> list[tuple[str, ad.Tensor]]:
         return [(name, a) for name, a in self._layout() if isinstance(a, ad.Tensor)]
 
-    def zero_grad(self) -> None:
-        for _, t in self.trainable():
-            t.grad = None
-
     def copy(self) -> "ModelParams":
         return _assemble(self.config, dict(self.named_arrays()))
 

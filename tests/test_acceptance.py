@@ -133,7 +133,6 @@ def test_ac02_loss_gradients_match_finite_differences(report):
             restore()
             return float(total.value)
 
-        params.zero_grad()
         maps = forward(params, images, training=True)
         total, _ = compound_loss(maps.logits, maps.dataset_logit,
                                  labels, beta)

@@ -1,4 +1,5 @@
 import math
+import resource
 import shutil
 import struct
 
@@ -232,6 +233,19 @@ class TestTrain:
         run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path,
                              "--beta", "0", "--patch-count", "0"])
         assert (tmp_path / "checkpoint.dhck").exists()
+
+    def test_a_batch_of_ignore_pixels_only_trains_at_zero_loss(self, workspace, tmp_path):
+        # every train pixel ignored and beta 0 (nothing pasted): no pixel
+        # reaches a loss term, and each step's gradient is exactly zero
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workspace["manifest"].parent, scenes)
+        for row in read_manifest(scenes / "manifest.csv"):
+            if row.split == "train":
+                write_pgm(scenes / row.mask, np.full_like(read_pgm(scenes / row.mask), 2))
+        run_ok(TRAIN_ARGS + ["--data", scenes / "manifest.csv", "--out", tmp_path / "run",
+                             "--beta", "0"])
+        for line in (tmp_path / "run" / "train_log.csv").read_text().splitlines()[1:]:
+            assert [float(v) for v in line.split(",")[1:]] == [0.0] * 5
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-1"),
                                             ("--seed", "-1"), ("--num-classes", "300"),
@@ -794,6 +808,37 @@ class TestOutOfRangeLabels:
     def test_score(self, workspace, bad_data, tmp_path):
         self.assert_data_error(["score", "--checkpoint", workspace["run"] / "checkpoint.dhck",
                                 "--data", bad_data, "--out", tmp_path / "scores"])
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at 64 GiB for the test, so that an
+    allocation larger than that fails at once on any machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+# each first large allocation asks for 7.28 TiB, 224 GiB or 201 GiB
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("synth", "--scene-size", "1000000", "scene_size"),
+    ("train", "--crop-size", "100000", "crop_size"),
+    ("train", "--widths", "1000000000", "widths")])
+def test_a_setting_too_large_for_memory_is_a_config_error(workspace, tmp_path, address_space_cap,
+                                                          command, flag, value, key):
+    args = (SYNTH_ARGS if command == "synth"
+            else TRAIN_ARGS + ["--data", workspace["manifest"]])
+    result = RUNNER.invoke(main, [str(a) for a in
+                                  args + ["--out", tmp_path / "out", flag, value]])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert f"config error: {command} needs more memory than there is" in result.output
+    assert key in result.output.split("lower")[-1]
 
 
 class TestEmptyImage:

@@ -134,6 +134,18 @@ class TestPosteriorTerms:
         total.backward()
         np.testing.assert_array_equal(z.grad, [[[[-1.0, 1.0]]]])
 
+    def test_gradient_is_the_sigmoid_at_extreme_logits(self):
+        # softplus(z) over outlier pixels: finite at any logit, and its
+        # gradient is the logistic sigmoid, 1/2 at 0 and 1 at 500
+        z = ad.parameter(np.array([-500.0, -5.0, 0.0, 5.0, 500.0]).reshape(1, 1, 1, 5))
+        total, parts = loss_of(np.zeros((1, 2, 1, 5)), [[[2] * 5]], z=z, beta=1.0)
+        assert math.isfinite(parts.posterior_out)
+        total.backward()
+        got = z.grad.ravel() * 5  # the mean over 5 outlier pixels
+        np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-z.value.ravel())),
+                                   rtol=1e-15, atol=0)
+        assert got[2] == 0.5 and got[-1] == 1.0 and 0.0 < got[0] < 1e-200
+
     def test_gradients_pull_in_the_right_direction(self):
         # constant logits and beta 1: the dataset-logit gradient is that of
         # posterior_in + posterior_out
@@ -184,17 +196,36 @@ class TestCompound:
         z = rng.normal(size=(2, 1, 3, 3))
         labels = rng.choice([0, 1, 2, 3, 4, IGNORE_LABEL], size=(2, 3, 3))
         labels[0, 0, 0] = IGNORE_LABEL  # guarantee at least one
-        base, _ = compound_loss(ad.constant(logits), ad.constant(z),
-                                labels, beta=0.03)
+        ig = (labels == IGNORE_LABEL)[:, None]
+        ig_logits = np.broadcast_to(ig, logits.shape)
 
-        mutated_logits = logits.copy()
-        mutated_z = z.copy()
-        ig = labels == IGNORE_LABEL
-        mutated_logits[np.broadcast_to(ig[:, None], logits.shape)] = 1e6
-        mutated_z[ig[:, None]] = -1e6
-        redo, _ = compound_loss(ad.constant(mutated_logits), ad.constant(mutated_z),
-                                labels, beta=0.03)
-        assert base.item() == redo.item()  # bitwise identical
+        def run(fill):
+            lt, zt = ad.parameter(logits), ad.parameter(z)
+            if fill:
+                lt.value[ig_logits] = fill
+                zt.value[ig] = -fill
+            total, _ = compound_loss(lt, zt, labels, beta=0.03)
+            total.backward()
+            # exact zeros at ignore pixels
+            assert not lt.grad[ig_logits].any() and not zt.grad[ig].any()
+            return total.item(), lt.grad.tobytes(), zt.grad.tobytes()
+
+        base = run(0.0)
+        # the value and both gradients are bitwise identical
+        assert run(1e6) == base
+        assert run(-1e6) == base
+
+    def test_all_ignore_batch_is_zero_with_zero_gradients(self):
+        lt = ad.parameter(np.random.default_rng(2).normal(size=(2, 3, 2, 2)))
+        zt = ad.parameter(np.ones((2, 1, 2, 2)))
+        total, parts = compound_loss(lt, zt, np.full((2, 2, 2), IGNORE_LABEL), beta=0.03)
+        assert (parts.cls, parts.posterior_in, parts.posterior_out, parts.likelihood_out,
+                parts.total) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert parts.ignore_pixels == 8
+        total.backward()
+        assert total.item() == 0.0
+        np.testing.assert_array_equal(lt.grad, np.zeros_like(lt.value))
+        np.testing.assert_array_equal(zt.grad, np.zeros_like(zt.value))
 
     def test_pixel_counts(self):
         logits, z, labels = two_pixel_fixture()
