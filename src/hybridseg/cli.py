@@ -47,6 +47,7 @@ from .labels import IGNORE_LABEL, PixelRole
 from .losses import LossBreakdown
 from .metrics import (
     auroc,
+    check_bin_edges,
     closed_confusion,
     closed_miou,
     fuse_open_prediction,
@@ -60,6 +61,7 @@ from .rasters import read_pgm, read_score_raster, write_pgm, write_score_raster
 from .train import TrainConfig, train
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
+SCENE_CHANNELS = 3  # RGB: the only input_channels `train` builds and `score` reads
 # the keys that set a subcommand's array sizes, named when it runs out of memory
 SIZE_KEYS = {"synth": "scene_size, toy_points or a split count",
              "train": "widths, kernel_size, batch_size, crop_size or patch_count",
@@ -157,7 +159,7 @@ _command("synth", run_synth, "Generate the toy and scene datasets.")
 
 
 def run_train(cfg: dict) -> None:
-    net = NetworkConfig(input_channels=3, widths=cfgmod.parse_int_list(cfg["widths"]),
+    net = NetworkConfig(input_channels=SCENE_CHANNELS, widths=cfgmod.parse_int_list(cfg["widths"]),
                         num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
                         seed=cfg["seed"])
     if cfg["batch_size"] < 1:
@@ -185,6 +187,9 @@ def run_train(cfg: dict) -> None:
         params = init_params(net)
 
     total_steps = start_step + cfg["epochs"] * cfg["batches_per_epoch"]
+    if total_steps >= 2 ** 64:  # checked before the first step, not when saving
+        raise ConfigError(f"step {start_step} + {total_steps - start_step} steps does not fit "
+                          "the checkpoint's u64 step field")
     schedule = LrSchedule(kind=cfg["schedule"], lr_start=cfg["lr"],
                           lr_end=cfg["lr_end"], total_steps=max(total_steps, 1))
     tcfg = TrainConfig(epochs=cfg["epochs"], batches_per_epoch=cfg["batches_per_epoch"],
@@ -244,6 +249,9 @@ def run_score(cfg: dict) -> None:
     if tau is not None and np.isnan(tau):  # no pixel would be an outlier
         raise ConfigError("tau must not be NaN")
     params, _ = load_checkpoint(cfg["checkpoint"])
+    if params.config.input_channels != SCENE_CHANNELS:
+        raise DataFormatError(f"{cfg['checkpoint']}: input_channels "
+                              f"{params.config.input_channels} != {SCENE_CHANNELS}")
     k = params.config.num_classes
 
     manifest = Path(cfg["data"])
@@ -335,8 +343,8 @@ def run_eval(cfg: dict) -> None:
     variants = _variants(cfg)
     split = cfg["split"]
     edges = cfgmod.parse_float_list(cfg["bins"])
-    if cfg["bins"] and (len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:]))):
-        raise ConfigError("bin edges must be strictly increasing, >= 2 of them")
+    if cfg["bins"]:
+        check_bin_edges(edges)
     gt, argmax, distance, scores, sizes = _evaluated_pixels(cfg, variants)
     truth = gt == k
 

@@ -220,6 +220,14 @@ class BinResult:
     fpr95: float         # nan when degenerate
 
 
+def check_bin_edges(bin_edges) -> list[float]:
+    """The edges as a list; ContractViolation unless >= 2 strictly increasing."""
+    edges = list(bin_edges)
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ContractViolation("bin edges must be strictly increasing, >= 2 of them")
+    return edges
+
+
 def range_binned(scores, truth, distance, bin_edges,
                  target_tpr: float = 0.95) -> list[BinResult]:
     """AP and FPR@TPR per distance bin [edge_i, edge_{i+1}).
@@ -234,9 +242,7 @@ def range_binned(scores, truth, distance, bin_edges,
         raise ContractViolation("scores and truth must be equal-length")
     if distance.shape != scores.shape:
         raise ContractViolation("distance must be present for every pixel")
-    edges = list(bin_edges)
-    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
-        raise ContractViolation("bin edges must be strictly increasing, >= 2 of them")
+    edges = check_bin_edges(bin_edges)
     results = []
     for lo, hi in zip(edges, edges[1:]):
         keep = (distance >= lo) & (distance < hi)

@@ -9,11 +9,15 @@ logit z gives the per-pixel probability sigmoid(z) that the pixel is an
 inlier. Final projections start at zero so an untrained model predicts
 uniform class posteriors and a dataset posterior of 0.5 everywhere.
 
+The model is one table: ``param_shapes`` names every persistent array
+(``stage0.w`` ... ``ood.b``) with its shape, in checkpoint order, and
+``ModelParams`` holds one entry per name in that order.
+
 Checkpoints (format v2) are magic ``DHCK``, the version, the optimizer step,
-the JSON network config, then the arrays of ``ModelParams.named_arrays`` as
-little-endian float64; round-trips are bit exact. Version 1 files also held
-the batch-norm momentum and eps and a bias per stage; loading folds each
-bias into its stage's running mean, giving the same outputs up to rounding.
+the JSON network config, then the arrays of that table as little-endian
+float64; round-trips are bit exact. Version 1 files also held the batch-norm
+momentum and eps and a bias per stage; loading folds each bias into its
+stage's running mean, giving the same outputs up to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,75 +70,52 @@ class NetworkConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class ConvStage:
-    w: ad.Tensor
-    gamma: ad.Tensor
-    beta: ad.Tensor
-    run_mean: np.ndarray
-    run_var: np.ndarray
+# a batch-norm's arrays, in checkpoint order
+BN_ARRAYS = ("gamma", "beta", "run_mean", "run_var")
 
 
 @dataclass
 class ModelParams:
-    """All learnable state: backbone stages, classifier head, posterior head."""
+    """The ``param_shapes`` table: running statistics (``*.run_*``) as float64
+    arrays, every other entry an ``ad.parameter``; ``params[name]`` is one."""
 
     config: NetworkConfig
-    stages: list[ConvStage] = field(default_factory=list)
-    cls_w: ad.Tensor = None
-    cls_b: ad.Tensor = None
-    ood_gamma: ad.Tensor = None
-    ood_beta: ad.Tensor = None
-    ood_run_mean: np.ndarray = None
-    ood_run_var: np.ndarray = None
-    ood_w: ad.Tensor = None
-    ood_b: ad.Tensor = None
+    arrays: dict[str, ad.Tensor | np.ndarray]
 
-    def _layout(self) -> list[tuple[str, ad.Tensor | np.ndarray]]:
-        """Every persistent tensor and buffer in declaration order: the
-        stages' fields, then the head fields after ``stages``."""
-        out = [(f"stage{i}.{f.name}", getattr(st, f.name))
-               for i, st in enumerate(self.stages) for f in fields(st)]
-        heads = [f.name for f in fields(self)][2:]
-        return out + [(name.replace("_", ".", 1), getattr(self, name)) for name in heads]
+    def __getitem__(self, name: str) -> ad.Tensor | np.ndarray:
+        return self.arrays[name]
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every persistent array in checkpoint order."""
         return [(name, a.value if isinstance(a, ad.Tensor) else a)
-                for name, a in self._layout()]
+                for name, a in self.arrays.items()]
 
     def trainable(self) -> list[tuple[str, ad.Tensor]]:
-        return [(name, a) for name, a in self._layout() if isinstance(a, ad.Tensor)]
+        return [(name, a) for name, a in self.arrays.items() if isinstance(a, ad.Tensor)]
 
     def copy(self) -> "ModelParams":
         return _assemble(self.config, dict(self.named_arrays()))
 
 
 def param_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every persistent array in checkpoint order, the one
-    statement of the layout that ``init_params`` fills and that
-    ``load_checkpoint`` checks a file's size against."""
+    """Name and shape of every persistent array in checkpoint order: the one
+    statement of the layout, which ``ModelParams`` holds, ``init_params``
+    fills and ``load_checkpoint`` checks a file's size against."""
     k, c, n = config.kernel_size, config.input_channels, config.num_classes
     shapes = []
     for i, width in enumerate(config.widths):
         shapes += [(f"stage{i}.w", (width, c, k, k))] + [
-            (f"stage{i}.{f}", (width,)) for f in ("gamma", "beta", "run_mean", "run_var")]
+            (f"stage{i}.{f}", (width,)) for f in BN_ARRAYS]
         c = width
     return shapes + [("cls.w", (n, c, 1, 1)), ("cls.b", (n,))] + [
-        (f"ood.{f}", (c,)) for f in ("gamma", "beta", "run_mean", "run_var")] + [
-        ("ood.w", (1, c, 1, 1)), ("ood.b", (1,))]
+        (f"ood.{f}", (c,)) for f in BN_ARRAYS] + [("ood.w", (1, c, 1, 1)), ("ood.b", (1,))]
 
 
 def _assemble(config: NetworkConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """A model holding copies of ``arrays`` (keyed as ``param_shapes``); the
-    running statistics stay arrays, everything else becomes a parameter."""
-    def take(name):
-        a = arrays[name]
-        return np.array(a, dtype=np.float64) if ".run_" in name else ad.parameter(a)
-    stages = [ConvStage(**{f.name: take(f"stage{i}.{f.name}") for f in fields(ConvStage)})
-              for i in range(len(config.widths))]
-    heads = {f.name: take(f.name.replace("_", ".", 1)) for f in fields(ModelParams)[2:]}
-    return ModelParams(config, stages, **heads)
+    """A model holding copies of ``arrays`` (keyed as ``param_shapes``)."""
+    return ModelParams(config, {
+        name: np.array(arrays[name], dtype=np.float64) if ".run_" in name
+        else ad.parameter(arrays[name]) for name, _ in param_shapes(config)})
 
 
 def init_params(config: NetworkConfig) -> ModelParams:
@@ -157,6 +138,11 @@ class ForwardMaps:
     dataset_logit: ad.Tensor | np.ndarray  # (N, 1, H, W), z of P(d_in | x) = sigmoid(z)
 
 
+def _bn(p, prefix: str) -> list:
+    """The batch-norm arguments named ``prefix`` + ``BN_ARRAYS`` in ``p``."""
+    return [p[prefix + f] for f in BN_ARRAYS]
+
+
 def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> ForwardMaps:
     """Run the model; raises NumericFailure if any output is non-finite. Eval
     mode runs ``ad``'s array kernels in the input's float dtype (else float64)
@@ -166,28 +152,26 @@ def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> F
     c = params.config.input_channels
     if x.ndim != 4 or x.shape[1] != c:
         raise ContractViolation(f"expected (N,{c},H,W) input, got {x.shape}")
+    stages = [f"stage{i}." for i in range(len(params.config.widths))]
+    p = params if training else dict(params.named_arrays())  # tensors, or their values
     if training:
         t = ad.constant(x)
-        for st in params.stages:
-            t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w), st.gamma, st.beta, st.run_mean,
-                                      st.run_var, training=True))
-        logits = ad.conv2d(t, params.cls_w, params.cls_b)
-        h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
-                                  params.ood_run_var, training=True))
-        z = ad.conv2d(h, params.ood_w, params.ood_b)
+        for s in stages:
+            t = ad.relu(ad.batch_norm(ad.conv2d(t, p[s + "w"]), *_bn(p, s), training=True))
+        logits = ad.conv2d(t, p["cls.w"], p["cls.b"])
+        h = ad.relu(ad.batch_norm(t, *_bn(p, "ood."), training=True))
+        z = ad.conv2d(h, p["ood.w"], p["ood.b"])
         outputs = t.value, logits.value, z.value
     else:
         t = x.astype(np.result_type(x, 0.0), copy=False)
-        for st in params.stages:
-            scale, shift = ad.batch_norm_affine(st.gamma.value, st.beta.value,
-                                                st.run_mean, st.run_var)
-            t = np.maximum(ad.correlate(t, st.w.value * scale[:, None, None, None], shift), 0.0)
-        logits = ad.correlate(t, params.cls_w.value, params.cls_b.value)
-        scale, shift = ad.batch_norm_affine(params.ood_gamma.value, params.ood_beta.value,
-                                            params.ood_run_mean, params.ood_run_var)
+        for s in stages:
+            scale, shift = ad.batch_norm_affine(*_bn(p, s))
+            t = np.maximum(ad.correlate(t, p[s + "w"] * scale[:, None, None, None], shift), 0.0)
+        logits = ad.correlate(t, p["cls.w"], p["cls.b"])
+        scale, shift = ad.batch_norm_affine(*_bn(p, "ood."))
         h = np.maximum(t * scale.astype(t.dtype)[:, None, None]
                        + shift.astype(t.dtype)[:, None, None], 0.0)
-        z = ad.correlate(h, params.ood_w.value, params.ood_b.value)
+        z = ad.correlate(h, p["ood.w"], p["ood.b"])
         outputs = t, logits, z
     for name, v in zip(("pre-logits", "logits", "dataset logit"), outputs):
         if not np.all(np.isfinite(v)):
@@ -258,6 +242,6 @@ def load_checkpoint(path) -> tuple[ModelParams, int]:
         arrays = {name: _read_array(f, shape, path, name) for name, shape in layout}
     params = _assemble(config, arrays)
     if version == 1:
-        for i, st in enumerate(params.stages):
-            st.run_mean -= arrays[f"stage{i}.b"]  # batch-norm subtracts the bias with the mean
+        for i in range(len(config.widths)):  # batch-norm subtracts the bias with the mean
+            params[f"stage{i}.run_mean"][...] -= arrays[f"stage{i}.b"]
     return params, step

@@ -192,12 +192,13 @@ def write_v1_checkpoint(path, params, stage_biases, step=0, bn_momentum=0.1, bn_
                        "num_classes": cfg.num_classes, "kernel_size": cfg.kernel_size,
                        "seed": cfg.seed, "bn_momentum": bn_momentum, "bn_eps": bn_eps},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
+    named = dict(params.named_arrays())
     arrays = []
-    for st, b in zip(params.stages, stage_biases):
-        arrays += [st.w.value, b, st.gamma.value, st.beta.value, st.run_mean, st.run_var]
-    arrays += [params.cls_w.value, params.cls_b.value, params.ood_gamma.value,
-               params.ood_beta.value, params.ood_run_mean, params.ood_run_var,
-               params.ood_w.value, params.ood_b.value]
+    for i, b in enumerate(stage_biases):
+        arrays += [named[f"stage{i}.w"], b] + [
+            named[f"stage{i}.{f}"] for f in ("gamma", "beta", "run_mean", "run_var")]
+    arrays += [named[name] for name in ("cls.w", "cls.b", "ood.gamma", "ood.beta",
+                                        "ood.run_mean", "ood.run_var", "ood.w", "ood.b")]
     with open(path, "wb") as f:
         f.write(b"DHCK" + struct.pack("<IQI", 1, step, len(blob)) + blob)
         for a in arrays:

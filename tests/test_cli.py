@@ -197,6 +197,32 @@ class TestTrain:
         assert "differs from configuration" in result.output
         assert not (tmp_path / "config.resolved.ini").exists()
 
+    def test_resume_input_channels_mismatch(self, workspace, tmp_path):
+        two = tmp_path / "two.dhck"
+        save_checkpoint(two, init_params(NetworkConfig(input_channels=2, widths=(6, 8),
+                                                       num_classes=3)))
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path / "run", "--resume", two]])
+        assert result.exit_code == 2, result.output
+        assert "checkpoint input_channels differs from configuration" in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("step", [2 ** 64 - 1, 2 ** 64 - 4])
+    def test_resume_past_the_u64_step_field_is_a_config_error(self, workspace, tmp_path, step):
+        # 2 epochs x 2 batches would end at step 2**64 or later, which the
+        # checkpoint cannot store: rejected before the first step
+        data = (workspace["run"] / "checkpoint.dhck").read_bytes()
+        late = tmp_path / "late.dhck"
+        late.write_bytes(data[:8] + struct.pack("<Q", step) + data[16:])
+        assert load_checkpoint(late)[1] == step
+        result = RUNNER.invoke(main, [str(a) for a in
+                                      TRAIN_ARGS + ["--data", workspace["manifest"],
+                                                    "--out", tmp_path / "run", "--resume", late]])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "does not fit the checkpoint's u64 step field" in result.output
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_saves_the_last_good_epoch_step(self, workspace, tmp_path,
                                                        monkeypatch):
         calls = {"n": 0}
@@ -397,9 +423,21 @@ class TestScore:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "truncated checkpoint at stage0.w" in result.output
 
+    def test_checkpoint_with_other_input_channels_is_a_data_error(self, workspace, tmp_path):
+        # a valid model, but not one that `train` builds for RGB scenes
+        two = tmp_path / "two.dhck"
+        save_checkpoint(two, init_params(NetworkConfig(input_channels=2, widths=(6, 8),
+                                                       num_classes=3)))
+        result = RUNNER.invoke(main, ["score", "--checkpoint", str(two),
+                                      "--data", str(workspace["manifest"]),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "input_channels 2 != 3" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_checkpoint_is_a_numeric_failure(self, workspace, tmp_path):
         params = init_params(NetworkConfig(input_channels=3, widths=(6, 8), num_classes=3))
-        params.stages[0].w.value[0, 0, 0, 0] = math.nan
+        params["stage0.w"].value[0, 0, 0, 0] = math.nan
         bad = tmp_path / "bad.dhck"
         save_checkpoint(bad, params)
         result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),
@@ -411,7 +449,7 @@ class TestScore:
         # an infinite ood.b makes every dataset logit infinite; a sigmoid of
         # it would still be finite, so the check must see the logit itself
         params, _ = load_checkpoint(workspace["run"] / "checkpoint.dhck")
-        params.ood_b.value[...] = math.inf
+        params["ood.b"].value[...] = math.inf
         bad = tmp_path / "bad.dhck"
         save_checkpoint(bad, params)
         result = RUNNER.invoke(main, ["score", "--checkpoint", str(bad),

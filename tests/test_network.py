@@ -73,8 +73,8 @@ class TestForward:
         params = init_params(CFG)
         img = rand_image((1, 3, 5, 5), seed=5)
         before = forward(params, img).dataset_logit
-        params.cls_w.value += np.random.default_rng(6).normal(size=params.cls_w.value.shape)
-        params.cls_b.value += 1.7
+        params["cls.w"].value += np.random.default_rng(6).normal(size=params["cls.w"].value.shape)
+        params["cls.b"].value += 1.7
         after = forward(params, img).dataset_logit
         np.testing.assert_array_equal(before, after)
 
@@ -84,7 +84,7 @@ class TestForward:
 
     def test_non_finite_activation_aborts(self):
         params = init_params(CFG)
-        params.stages[0].w.value[0, 0, 0, 0] = np.nan
+        params["stage0.w"].value[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericFailure):
             forward(params, rand_image((1, 3, 4, 4)))
 
@@ -99,7 +99,7 @@ class TestForward:
         params = init_params(CFG)
         img = rand_image((2, 3, 6, 6), seed=8)
         forward(params, img, training=True)
-        assert not np.allclose(params.stages[0].run_mean, 0.0)
+        assert not np.allclose(params["stage0.run_mean"], 0.0)
 
 
 class TestInit:
@@ -111,12 +111,12 @@ class TestInit:
     def test_different_seed_differs(self):
         a = init_params(CFG)
         b = init_params(NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4, seed=12))
-        assert not np.array_equal(a.stages[0].w.value, b.stages[0].w.value)
+        assert not np.array_equal(a["stage0.w"].value, b["stage0.w"].value)
 
     def test_fan_in_bound(self):
         params = init_params(CFG)
         bound = 1.0 / np.sqrt(3 * 3 * 3)
-        assert np.abs(params.stages[0].w.value).max() <= bound
+        assert np.abs(params["stage0.w"].value).max() <= bound
 
 
 class TestCheckpoint:
@@ -138,7 +138,7 @@ class TestCheckpoint:
     def test_loaded_model_reproduces_outputs(self, tmp_path):
         params = init_params(CFG)
         img = rand_image((1, 3, 6, 6), seed=10)
-        params.cls_w.value += 0.05
+        params["cls.w"].value += 0.05
         expect = forward(params, img).logits
         save_checkpoint(tmp_path / "m.dhck", params, step=0)
         loaded, _ = load_checkpoint(tmp_path / "m.dhck")
@@ -217,15 +217,27 @@ class TestCheckpoint:
         assert len(data) == 20 + len(blob) + 8 * values
 
 
-    def test_param_shapes_is_the_layout_of_init_params(self):
+    def test_param_shapes_is_the_layout_of_init_params(self, tmp_path):
+        # every constructor of a model fills the one table: init, copy, v2 and v1 loads
         for cfg in (CFG, NetworkConfig(input_channels=1, widths=(3,), num_classes=2,
                                        kernel_size=1)):
-            assert param_shapes(cfg) == [(name, a.shape)
-                                         for name, a in init_params(cfg).named_arrays()]
+            params = init_params(cfg)
+            save_checkpoint(tmp_path / "v2.dhck", params)
+            write_v1_checkpoint(tmp_path / "v1.dhck", params, [np.zeros(w) for w in cfg.widths])
+            for model in (params, params.copy(), load_checkpoint(tmp_path / "v2.dhck")[0],
+                          load_checkpoint(tmp_path / "v1.dhck")[0]):
+                assert param_shapes(cfg) == [(name, a.shape)
+                                             for name, a in model.named_arrays()]
+                for name, _ in param_shapes(cfg):
+                    if ".run_" in name:
+                        assert type(model[name]) is np.ndarray
+                        assert model[name].dtype == np.float64
+                    else:
+                        assert isinstance(model[name], ad.Tensor) and model[name].requires_grad
 
     def test_copy_is_equal_and_independent(self):
         params = init_params(CFG)
-        params.stages[0].run_mean += 1.0
+        params["stage0.run_mean"][...] += 1.0
         other = params.copy()
         for (na, a), (nb, b) in zip(params.named_arrays(), other.named_arrays()):
             assert na == nb and a is not b
@@ -260,14 +272,17 @@ class TestCheckpoint:
 
 def v1_forward(params, stage_biases, image):
     """Eval-mode forward of a version-1 model, whose backbone convs add a bias."""
+    p = params
     t = ad.constant(image)
-    for st, b in zip(params.stages, stage_biases):
-        t = ad.relu(ad.batch_norm(ad.conv2d(t, st.w, ad.constant(b)), st.gamma, st.beta,
-                                  st.run_mean, st.run_var, training=False))
-    h = ad.relu(ad.batch_norm(t, params.ood_gamma, params.ood_beta, params.ood_run_mean,
-                              params.ood_run_var, training=False))
-    return ForwardMaps(logits=ad.conv2d(t, params.cls_w, params.cls_b),
-                       dataset_logit=ad.conv2d(h, params.ood_w, params.ood_b))
+    for i, b in enumerate(stage_biases):
+        s = f"stage{i}."
+        t = ad.relu(ad.batch_norm(ad.conv2d(t, p[s + "w"], ad.constant(b)), p[s + "gamma"],
+                                  p[s + "beta"], p[s + "run_mean"], p[s + "run_var"],
+                                  training=False))
+    h = ad.relu(ad.batch_norm(t, p["ood.gamma"], p["ood.beta"], p["ood.run_mean"],
+                              p["ood.run_var"], training=False))
+    return ForwardMaps(logits=ad.conv2d(t, p["cls.w"], p["cls.b"]),
+                       dataset_logit=ad.conv2d(h, p["ood.w"], p["ood.b"]))
 
 
 def v1_model(seed=0):
@@ -276,11 +291,11 @@ def v1_model(seed=0):
     rng = np.random.default_rng(seed)
     params = init_params(CFG)
     forward(params, rand_image((4, 3, 8, 8), seed=seed), training=True)
-    for t in (params.cls_w, params.ood_w):
-        t.value[...] = rng.normal(size=t.value.shape)
+    for name in ("cls.w", "ood.w"):
+        params[name].value[...] = rng.normal(size=params[name].value.shape)
     biases = [rng.normal(size=w) for w in CFG.widths]
-    for st, b in zip(params.stages, biases):
-        st.run_mean += b
+    for i, b in enumerate(biases):
+        params[f"stage{i}.run_mean"][...] += b
     return params, biases
 
 
@@ -291,8 +306,9 @@ class TestVersion1Checkpoint:
         loaded, step = load_checkpoint(tmp_path / "v1.dhck")
         assert step == 42
         assert loaded.config == CFG
-        for st, st1, b in zip(loaded.stages, v1.stages, biases):
-            np.testing.assert_array_equal(st.run_mean, st1.run_mean - b)
+        for i, b in enumerate(biases):
+            name = f"stage{i}.run_mean"
+            np.testing.assert_array_equal(loaded[name], v1[name] - b)
         image = rand_image((3, 9, 7), seed=1)
         got = forward(loaded, image[None])
         want = v1_forward(v1, biases, image[None])
@@ -337,16 +353,16 @@ def random_model(kernel_size, seed=0):
     rng = np.random.default_rng(seed)
     params = init_params(NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4,
                                        kernel_size=kernel_size, seed=seed))
-    for st in params.stages:
-        c = st.run_var.size
-        st.gamma.value[...] = rng.uniform(0.5, 2.0, c) * rng.choice([-1.0, 1.0], c)
-        st.beta.value[...] = rng.normal(size=c)
-        st.run_mean[...] = rng.normal(size=c)
-        st.run_var[...] = rng.uniform(0.01, 4.0, c)
-    for t in (params.cls_w, params.cls_b, params.ood_w, params.ood_gamma, params.ood_beta):
-        t.value[...] = rng.normal(size=t.value.shape)
-    params.ood_run_mean[...] = rng.normal(size=params.ood_run_mean.shape)
-    params.ood_run_var[...] = rng.uniform(0.01, 4.0, params.ood_run_var.shape)
+    for i, c in enumerate(params.config.widths):
+        s = f"stage{i}."
+        params[s + "gamma"].value[...] = rng.uniform(0.5, 2.0, c) * rng.choice([-1.0, 1.0], c)
+        params[s + "beta"].value[...] = rng.normal(size=c)
+        params[s + "run_mean"][...] = rng.normal(size=c)
+        params[s + "run_var"][...] = rng.uniform(0.01, 4.0, c)
+    for name in ("cls.w", "cls.b", "ood.w", "ood.gamma", "ood.beta"):
+        params[name].value[...] = rng.normal(size=params[name].value.shape)
+    params["ood.run_mean"][...] = rng.normal(size=params["ood.run_mean"].shape)
+    params["ood.run_var"][...] = rng.uniform(0.01, 4.0, params["ood.run_var"].shape)
     return params
 
 
@@ -375,7 +391,7 @@ class TestEvalFold:
     def test_non_finite_fold_aborts(self, kernel_size, stage, run_var):
         # -eps makes the scale infinite, anything below it makes it NaN
         params = random_model(kernel_size)
-        params.stages[stage].run_var[...] = run_var
+        params[f"stage{stage}.run_var"][...] = run_var
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericFailure):
             forward(params, rand_image((1, 3, 5, 5), seed=4))
 
@@ -429,8 +445,8 @@ class TestEvalForward:
         # = -softplus(z) of the float32 logit keeps float32's relative precision
         # at every pixel; through the float32 posterior it was 1e4+ ulps off
         params = random_model(kernel_size)
-        params.ood_w.value *= 10.0
-        params.ood_b.value[...] = 40.0
+        params["ood.w"].value *= 10.0
+        params["ood.b"].value[...] = 40.0
         image = 8.0 * rand_image((3, 16, 16), seed=6) - 4.0
         got = score_image(params, image).discriminative
         z = forward(params, image[None].astype(np.float32)).dataset_logit[0, 0]

@@ -18,20 +18,20 @@ finite_vectors = hnp.arrays(
 )
 
 
-def hand_set_model(cls_b, cls_w=0.0, ood_w=0.0, ood_b=0.0):
+def hand_set_model(class_b, class_w=0.0, z_w=0.0, z_b=0.0):
     """A one-channel model whose scores are set by hand.
 
     The single 1x1 stage passes a non-negative image through (up to the
     eval-mode batch-norm factor), so pixel value x gives logits
-    ``cls_w * x + cls_b`` and a dataset logit ``ood_w * x + ood_b``.
+    ``class_w * x + class_b`` and a dataset logit ``z_w * x + z_b``.
     """
     params = init_params(NetworkConfig(input_channels=1, widths=(1,),
-                                       num_classes=len(cls_b), kernel_size=1))
-    params.stages[0].w.value[...] = 1.0
-    params.cls_w.value[:, 0, 0, 0] = cls_w
-    params.cls_b.value[...] = cls_b
-    params.ood_w.value[...] = ood_w
-    params.ood_b.value[...] = ood_b
+                                       num_classes=len(class_b), kernel_size=1))
+    params["stage0.w"].value[...] = 1.0
+    params["cls.w"].value[:, 0, 0, 0] = class_w
+    params["cls.b"].value[...] = class_b
+    params["ood.w"].value[...] = z_w
+    params["ood.b"].value[...] = z_b
     return params
 
 
@@ -139,13 +139,13 @@ class TestHybridScore:
     def test_monotone_decreasing_in_inlier_posterior(self):
         # flat logits, dataset posterior rising with the pixel value
         image = np.linspace(0.01, 3.0, 25).reshape(1, 1, 25)
-        bundle = score_image(hand_set_model([0.0, 0.0], ood_w=2.0, ood_b=-3.0), image)
+        bundle = score_image(hand_set_model([0.0, 0.0], z_w=2.0, z_b=-3.0), image)
         assert (np.diff(bundle.hybrid[0]) < 0).all()
         np.testing.assert_array_equal(bundle.generative, bundle.generative[0, 0])
 
     def test_logit_shift_lowers_score_by_constant(self):
-        base = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_w=1.0), self.IMAGE)
-        shifted = score_image(hand_set_model(self.CLS_B + 3.0, self.CLS_W, ood_w=1.0),
+        base = score_image(hand_set_model(self.CLS_B, self.CLS_W, z_w=1.0), self.IMAGE)
+        shifted = score_image(hand_set_model(self.CLS_B + 3.0, self.CLS_W, z_w=1.0),
                               self.IMAGE)
         for name in ("generative", "hybrid"):
             got = shifted.variant(name).astype(np.float64)
@@ -156,16 +156,16 @@ class TestHybridScore:
         np.testing.assert_array_equal(shifted.discriminative, base.discriminative)
 
     def test_global_likelihood_shift_preserves_orderings(self):
-        a = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_w=1.0), self.IMAGE)
-        b = score_image(hand_set_model(self.CLS_B + 11.0, self.CLS_W, ood_w=1.0), self.IMAGE)
+        a = score_image(hand_set_model(self.CLS_B, self.CLS_W, z_w=1.0), self.IMAGE)
+        b = score_image(hand_set_model(self.CLS_B + 11.0, self.CLS_W, z_w=1.0), self.IMAGE)
         for name in ("hybrid", "generative"):
             assert (np.argsort(a.variant(name), axis=None)
                     == np.argsort(b.variant(name), axis=None)).all()
         np.testing.assert_array_equal(a.argmax, b.argmax)
 
     def test_finite_at_clamped_extremes(self):
-        for ood_b in (-1e3, 1e3):
-            bundle = score_image(hand_set_model(self.CLS_B, self.CLS_W, ood_b=ood_b),
+        for z_b in (-1e3, 1e3):
+            bundle = score_image(hand_set_model(self.CLS_B, self.CLS_W, z_b=z_b),
                                  self.IMAGE)
             for name in ("hybrid", "generative", "discriminative"):
                 assert np.isfinite(bundle.variant(name)).all()
@@ -173,16 +173,16 @@ class TestHybridScore:
 
 def test_forward_returns_the_unclamped_dataset_logit():
     image = np.ones((1, 1, 1, 1))
-    for ood_b in (-1e3, 0.0, 1e3):
-        maps = forward(hand_set_model([0.0, 0.0], ood_b=ood_b), image)
-        assert maps.dataset_logit[0, 0, 0, 0] == ood_b
+    for z_b in (-1e3, 0.0, 1e3):
+        maps = forward(hand_set_model([0.0, 0.0], z_b=z_b), image)
+        assert maps.dataset_logit[0, 0, 0, 0] == z_b
 
 
-@pytest.mark.parametrize("ood_b", [20.0, 40.0, 80.0])
-def test_discriminative_keeps_confident_inliers_apart(ood_b):
+@pytest.mark.parametrize("z_b", [20.0, 40.0, 80.0])
+def test_discriminative_keeps_confident_inliers_apart(z_b):
     # ln(1 - sigmoid(z)) = -z - ln(1 + e^-z) rounds to -z in float32 here,
     # so each logit keeps its own score: nothing floors the posterior
-    bundle = score_image(hand_set_model([0.0, 0.0], ood_b=ood_b), np.ones((1, 2, 2)))
+    bundle = score_image(hand_set_model([0.0, 0.0], z_b=z_b), np.ones((1, 2, 2)))
     got = bundle.discriminative
     assert got.dtype == np.float32
-    assert np.all(np.abs(got.astype(np.float64) + ood_b) <= np.spacing(np.float32(ood_b)))
+    assert np.all(np.abs(got.astype(np.float64) + z_b) <= np.spacing(np.float32(z_b)))

@@ -196,10 +196,10 @@ class TestScoreImage:
 
     def test_argmax_tie_takes_lowest_class(self):
         params = init_params(NET)  # zero classifier weights: logits = bias
-        params.cls_b.value[...] = [1.0, 3.0, 3.0]
+        params["cls.b"].value[...] = [1.0, 3.0, 3.0]
         bundle = score_image(params, self.IMAGE)
         np.testing.assert_array_equal(bundle.argmax, 1)
-        params.cls_b.value[...] = 2.5
+        params["cls.b"].value[...] = 2.5
         np.testing.assert_array_equal(score_image(params, self.IMAGE).argmax, 0)
 
     def test_scoring_leaves_no_reference_cycles(self):
