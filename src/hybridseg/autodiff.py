@@ -1,11 +1,14 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 Every operation eagerly computes its forward value and records a closure
 that routes the output gradient back to its parents. ``backward()`` on a
 scalar runs the closures in reverse topological order and releases each
 node once its closure has run, so only the leaves (and the scalar) keep a
 ``grad``. Leaf gradients are reset on every call, so each backward pass
-yields the exact gradient of that one scalar.
+yields the exact gradient of that one scalar. A graph runs in the dtype of
+its activations: ``conv2d`` and ``batch_norm`` cast their float64 weights
+to it, so a float32 input gives float32 values and gradients throughout,
+and a float64 one (the gradient check) float64.
 
 The op set is deliberately small: the backbone's stride-1 same-padded
 convolution, per-channel batch normalization and relu, plus ``mul`` and
@@ -29,18 +32,21 @@ import numpy as np
 from .errors import ContractViolation
 
 # Output rows per conv2d GEMM block: at 32 channels, 3x3 and 64 px a block's
-# columns are 288 x 528 float64, 1.2 MB, which stay in a 2 MiB L2.
+# columns are 288 x 528, 1.2 MB in float64 and 0.6 MB in float32 (training),
+# which stay in a 2 MiB L2.
 BLOCK_ROWS = 8
 BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch_norm's constants
 
 
 class Tensor:
-    """Array node in the autodiff graph; ``value`` is always float64."""
+    """Array node in the autodiff graph. ``value`` keeps the float dtype it
+    is given; any other value (ints, bools, Python scalars) becomes float64."""
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, value, requires_grad: bool = False):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -239,7 +245,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Stride-1 cross-correlation over NCHW input with zero 'same' padding.
 
     Kernels must be square with odd side, so spatial resolution is always
-    preserved. Each pass (forward, grad-w, grad-x) runs one GEMM per
+    preserved. ``w`` and ``b`` are cast to ``x``'s dtype, which every pass
+    and gradient keeps. Each pass (forward, grad-w, grad-x) runs one GEMM per
     ``_column_blocks`` block, on a grid ``k - 1`` columns wider than the
     image: forward and grad-x crop those columns from each product, and
     grad-w reads them from padded ``g``, where they are zero. With a 1x1
@@ -258,10 +265,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ContractViolation(f"bias shape {b.value.shape} != ({co},)")
     p = k // 2
     wp = wd + 2 * p
+    wv = wv.astype(xv.dtype, copy=False)
     xf = _flat_pad(xv, p)
     out_val = _correlate(wv.reshape(co, c * k * k), xf, k, h, wd)
     if b is not None:
-        out_val += b.value[:, None, None]
+        out_val += b.value.astype(xv.dtype, copy=False)[:, None, None]
 
     def backprop(g):
         if b is not None and b.requires_grad:
@@ -271,7 +279,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             # g on the padded-width grid: row r of g starts at (r+p)*wp + p
             # in gf, and the 2p slack positions after it are padding, so zero
             g_grid = gf[:, :, p * wp + p:p * wp + p + h * wp]
-            gw = np.zeros((co, c * k * k))
+            gw = np.zeros((co, c * k * k), dtype=xv.dtype)
             for i, rows, cols in _column_blocks(xf, k, h, wp):
                 gw += g_grid[i, :, rows.start * wp:rows.stop * wp] @ cols.T
             _accumulate(w, gw.reshape(wv.shape))
@@ -298,8 +306,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     """Per-channel affine normalization of NCHW input.
 
     Training mode normalizes with biased batch statistics, folds them into
-    the running averages in place, and keeps one centred copy ``xhat``,
-    normalized in place, for backward; channel sums are einsum contractions.
+    the (float64) running averages in place, and keeps one centred copy
+    ``xhat``, normalized in place, for backward; channel sums are einsum
+    contractions. It runs in ``x``'s dtype, ``gamma`` and ``beta`` cast to it.
     Eval mode is forward-only: the ``batch_norm_affine`` scale and shift,
     returned as a constant with no recorded graph.
     """
@@ -327,8 +336,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
-    out_val = xhat * gamma.value[:, None]
-    out_val += beta.value[:, None]
+    gv = gamma.value.astype(xv.dtype, copy=False)
+    out_val = xhat * gv[:, None]
+    out_val += beta.value.astype(xv.dtype, copy=False)[:, None]
 
     def backprop(g):
         # g may alias a sibling's grad (see _accumulate): read it, never write
@@ -344,7 +354,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         gx = xhat * (-sum_gxhat / m)[:, None]
         gx += g3
         gx -= (sum_g / m)[:, None]
-        gx *= (gamma.value * inv)[:, None]
+        gx *= (gv * inv)[:, None]
         _accumulate(x, gx.reshape(xv.shape))
 
     return _make(out_val.reshape(xv.shape), (x, gamma, beta), backprop)

@@ -55,7 +55,7 @@ from .metrics import (
     rank,
     two_fold_open_eval,
 )
-from .network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
+from .network import ModelParams, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .optim import LrSchedule
 from .rasters import read_pgm, read_score_raster, write_pgm, write_score_raster
 from .train import TrainConfig, train
@@ -158,6 +158,16 @@ _command("synth", run_synth, "Generate the toy and scene datasets.")
 # train
 
 
+def _load_scene_checkpoint(path) -> tuple[ModelParams, int]:
+    """``load_checkpoint`` for the scene commands: a model whose
+    ``input_channels`` is not ``SCENE_CHANNELS`` is a data error."""
+    params, step = load_checkpoint(path)
+    if params.config.input_channels != SCENE_CHANNELS:
+        raise DataFormatError(f"{path}: input_channels "
+                              f"{params.config.input_channels} != {SCENE_CHANNELS}")
+    return params, step
+
+
 def run_train(cfg: dict) -> None:
     net = NetworkConfig(input_channels=SCENE_CHANNELS, widths=cfgmod.parse_int_list(cfg["widths"]),
                         num_classes=cfg["num_classes"], kernel_size=cfg["kernel_size"],
@@ -178,8 +188,8 @@ def run_train(cfg: dict) -> None:
                         num_classes=cfg["num_classes"])
     start_step = 0
     if cfg["resume"]:
-        params, start_step = load_checkpoint(cfg["resume"])
-        differs = [f for f in ("input_channels", "widths", "num_classes", "kernel_size")
+        params, start_step = _load_scene_checkpoint(cfg["resume"])
+        differs = [f for f in ("widths", "num_classes", "kernel_size")
                    if getattr(params.config, f) != getattr(net, f)]
         if differs:
             raise ConfigError(f"checkpoint {', '.join(differs)} differs from configuration")
@@ -248,10 +258,7 @@ def run_score(cfg: dict) -> None:
         raise ConfigError(f"key tau: cannot parse {cfg['tau']!r} as float") from None
     if tau is not None and np.isnan(tau):  # no pixel would be an outlier
         raise ConfigError("tau must not be NaN")
-    params, _ = load_checkpoint(cfg["checkpoint"])
-    if params.config.input_channels != SCENE_CHANNELS:
-        raise DataFormatError(f"{cfg['checkpoint']}: input_channels "
-                              f"{params.config.input_channels} != {SCENE_CHANNELS}")
+    params, _ = _load_scene_checkpoint(cfg["checkpoint"])
     k = params.config.num_classes
 
     manifest = Path(cfg["data"])

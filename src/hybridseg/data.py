@@ -450,14 +450,14 @@ def mixed_batch(scenes: list[SceneSample], patches: list[NegativePatch],
                 cfg: AugmentConfig, rng: np.random.Generator,
                 batch_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Assemble one (images, labels) training batch of augmented crops with
-    pasted negatives."""
+    pasted negatives; the images are float32, the dtype training runs in."""
     images, labels = [], []
     for _ in range(batch_size):
         scene = scenes[int(rng.integers(len(scenes)))]
         crop = paste_negatives(augment(scene, cfg, rng), patches, cfg, rng)
         images.append(crop.image)
         labels.append(crop.labels)
-    return np.stack(images), np.stack(labels)
+    return np.stack(images, dtype=np.float32), np.stack(labels)
 
 
 # ---------------------------------------------------------------------------

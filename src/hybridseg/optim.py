@@ -45,10 +45,12 @@ class LrSchedule:
 class Adam:
     """Adam with bias correction over a fixed list of parameter tensors.
 
-    ``step()`` reads each parameter's ``grad`` (missing grads count as zero)
-    and updates values in place. If any gradient is non-finite the whole
-    update is skipped and the incident is counted and logged; the step
-    counter still advances so the schedule keeps moving.
+    ``step()`` reads each parameter's ``grad`` (missing grads count as zero),
+    widened to float64 once, and updates values in place; the moments ``m``
+    and ``v`` are float64 like the parameters, whatever the graph's dtype.
+    If any gradient is non-finite the whole update is skipped and the
+    incident is counted and logged; the step counter still advances so the
+    schedule keeps moving.
     """
 
     def __init__(self, params: list[ad.Tensor], schedule: LrSchedule):
@@ -60,8 +62,8 @@ class Adam:
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self) -> float:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.value)
-                 for p in self.params]
+        grads = [np.asarray(p.grad, dtype=np.float64) if p.grad is not None
+                 else np.zeros_like(p.value) for p in self.params]
         lr = self.schedule.at(self.step_count)
         self.step_count += 1
         if not all(np.all(np.isfinite(g)) for g in grads):

@@ -92,6 +92,17 @@ class TestGraphMechanics:
         assert z.grad is None
 
 
+# float32 conv2d and batch-norm passes against float64 on the same inputs,
+# relative to the array's largest entry: 16 float32 epsilons, 1.9e-6, over a
+# measured worst of 8.1e-7 (conv2d grad-x, 4x16x64x64 in, 32 out). A float64
+# upcast fails the dtype check instead.
+F32_TOL = 16 * np.finfo(np.float32).eps
+
+
+def assert_tracks_float64(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=F32_TOL * np.abs(ref).max())
+
+
 def check_op_grad(build, arrays, rtol=1e-6, h=1e-6):
     """Compare analytic and central-difference gradients of scalar build()."""
     params = [ad.parameter(a) for a in arrays]
@@ -208,6 +219,26 @@ class TestConv2d:
                          (bt.grad, g.sum(axis=(0, 2, 3)))):
             assert got.shape == ref.shape and got.dtype == np.float64
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape,co,k", [((2, 3, 5, 8), 4, 1), ((2, 3, 8, 11), 4, 3),
+                                            ((3, 2, 17, 20), 3, 5), ((4, 16, 64, 64), 32, 3)])
+    def test_float32_passes_track_float64(self, shape, co, k):
+        # w and b are float64 parameters, cast to the input's dtype; the
+        # reference is the float64 op on the same float32-rounded x and g
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.normal(size=shape).astype(np.float32)
+        w, b = rng.normal(size=(co, shape[1], k, k)), rng.normal(size=co)
+        g = rng.normal(size=(shape[0], co) + shape[2:]).astype(np.float32)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            xt = ad.Tensor(x.astype(dtype), requires_grad=True)
+            wt, bt = ad.parameter(w), ad.parameter(b)
+            out = ad.conv2d(xt, wt, bt)
+            ad.tsum(ad.mul(out, ad.constant(g.astype(dtype)))).backward()
+            runs.append((out.value, xt.grad, wt.grad, bt.grad))
+        for got, ref in zip(*runs):
+            assert got.dtype == np.float32
+            assert_tracks_float64(got, ref)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_column_blocks_stay_inside_their_channel(self, k):
@@ -375,6 +406,34 @@ class TestBatchNorm:
             # relative to the array's largest entry: elementwise rtol means
             # nothing for entries that cancel to near zero
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 6), (2, 3, 9, 7), (4, 32, 64, 64)])
+    def test_float32_training_tracks_float64(self, shape):
+        # gamma and beta are float64 parameters, cast to the input's dtype,
+        # and the running statistics stay float64; the reference is the
+        # float64 op on the same float32-rounded x and g. The last shape is
+        # a stage of a 64x64 training batch, 16384 pixels per channel: a
+        # sequential float32 sum for the mean or for sum(g * xhat) fails.
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = rng.normal(loc=0.5, size=shape).astype(np.float32)
+        gamma, beta = rng.uniform(0.5, 1.5, size=c), rng.normal(size=c)
+        g = rng.normal(size=shape).astype(np.float32)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            xt = ad.Tensor(x.astype(dtype), requires_grad=True)
+            gt, bt = ad.parameter(gamma), ad.parameter(beta)
+            rm, rv = np.zeros(c), np.ones(c)
+            out = ad.batch_norm(xt, gt, bt, rm, rv, training=True)
+            ad.tsum(ad.mul(out, ad.constant(g.astype(dtype)))).backward()
+            runs.append(((out.value, xt.grad, gt.grad, bt.grad), (rm, rv)))
+        (got, got_stats), (ref, ref_stats) = runs
+        for a, want in zip(got, ref):
+            assert a.dtype == np.float32
+            assert_tracks_float64(a, want)
+        for a, want in zip(got_stats, ref_stats):
+            assert a.dtype == np.float64
+            assert_tracks_float64(a, want)
 
     def test_input_and_incoming_gradient_unchanged(self):
         x, gamma, beta, rm, rv, _ = self.bn_case(3, offset=False)

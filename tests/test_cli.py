@@ -145,10 +145,12 @@ class TestTrain:
         assert step == 4  # 2 epochs x 2 batches
 
     def test_checkpoints_are_bit_reproducible(self, workspace, tmp_path):
+        # the float32 training graph included: same seed, same bytes
         run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path / "again",
                              "--seed", 3])
-        assert ((tmp_path / "again" / "checkpoint.dhck").read_bytes()
-                == (workspace["run"] / "checkpoint.dhck").read_bytes())
+        for name in ("checkpoint.dhck", "train_log.csv"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (workspace["run"] / name).read_bytes())
 
     def test_resume_continues_the_step_counter(self, workspace, tmp_path):
         run_ok(TRAIN_ARGS + ["--data", workspace["manifest"], "--out", tmp_path,
@@ -198,14 +200,15 @@ class TestTrain:
         assert not (tmp_path / "config.resolved.ini").exists()
 
     def test_resume_input_channels_mismatch(self, workspace, tmp_path):
+        # the same data error, exit 3, as `score` gives for this checkpoint
         two = tmp_path / "two.dhck"
         save_checkpoint(two, init_params(NetworkConfig(input_channels=2, widths=(6, 8),
                                                        num_classes=3)))
         result = RUNNER.invoke(main, [str(a) for a in
                                       TRAIN_ARGS + ["--data", workspace["manifest"],
                                                     "--out", tmp_path / "run", "--resume", two]])
-        assert result.exit_code == 2, result.output
-        assert "checkpoint input_channels differs from configuration" in result.output
+        assert result.exit_code == 3, result.output
+        assert "input_channels 2 != 3" in result.output
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("step", [2 ** 64 - 1, 2 ** 64 - 4])

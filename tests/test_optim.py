@@ -128,3 +128,19 @@ class TestAdam:
             p[0].grad = grad.copy()
             opt.step()
         assert p[0].value == pytest.approx(x, rel=1e-12)
+
+    def test_float32_gradients_update_as_their_float64_values(self):
+        # each gradient is widened before the moments see it, so the update
+        # equals that of the same values in float64, to the bit
+        grads = np.random.default_rng(0).normal(size=(3, 50)).astype(np.float32) * 1e-3
+        runs = []
+        for dtype in (np.float32, np.float64):
+            p = [ad.parameter(np.linspace(-1.0, 1.0, 50))]
+            opt = Adam(p, LrSchedule(kind="constant", lr_start=0.1))
+            for g in grads:
+                p[0].grad = g.astype(dtype)
+                opt.step()
+            assert opt.m[0].dtype == opt.v[0].dtype == p[0].value.dtype == np.float64
+            runs.append((p[0].value, opt.m[0], opt.v[0]))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)

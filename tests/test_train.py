@@ -16,7 +16,7 @@ from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.labels import IGNORE_LABEL
 from hybridseg.losses import LossBreakdown, compound_loss
 from hybridseg.network import NetworkConfig, forward, init_params
-from hybridseg.optim import LrSchedule
+from hybridseg.optim import Adam, LrSchedule
 from hybridseg.train import TrainConfig, _epoch_mean, train
 
 NET = NetworkConfig(input_channels=3, widths=(4, 6), num_classes=3, seed=0)
@@ -156,6 +156,40 @@ class TestTrainLoop:
         parts = [LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 10, 20, 30),
                  LossBreakdown(2.0, 4.0, 6.0, 8.0, 10.0, 1, 2, 3)]
         assert _epoch_mean(parts) == LossBreakdown(1.5, 3.0, 4.5, 6.0, 7.5, 11, 22, 33)
+
+
+class TestStepDtypes:
+    """Training runs in the batch's dtype; the model and Adam's state stay float64."""
+
+    @staticmethod
+    def step(images, labels):
+        params = init_params(NET)
+        opt = Adam([t for _, t in params.trainable()], LrSchedule(kind="constant", lr_start=1e-3))
+        maps = forward(params, images, training=True)
+        total, _ = compound_loss(maps.logits, maps.dataset_logit, labels, 0.03)
+        total.backward()
+        grads = {name: t.grad for name, t in params.trainable()}
+        opt.step()
+        return params, opt, maps, grads
+
+    def test_float32_batch_gives_float32_graph_and_float64_state(self):
+        images, labels = scene_batcher()(np.random.default_rng(3))
+        assert images.dtype == np.float32
+        params, opt, maps, grads = self.step(images, labels)
+        assert maps.logits.value.dtype == np.float32
+        assert maps.dataset_logit.value.dtype == np.float32
+        assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.float32)
+        arrays = dict(params.named_arrays())
+        assert any(".run_" in name for name in arrays)
+        assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float64)
+        assert all(a.dtype == np.float64 for a in opt.m + opt.v)
+
+    def test_float64_batch_keeps_float64_gradients(self):
+        # what keeps the AC02 gradient check exact
+        images, labels = scene_batcher()(np.random.default_rng(3))
+        _, _, maps, grads = self.step(images.astype(np.float64), labels)
+        assert maps.logits.value.dtype == np.float64
+        assert all(g.dtype == np.float64 for g in grads.values())
 
 
 class TestScoreImage:
