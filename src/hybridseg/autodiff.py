@@ -6,23 +6,21 @@ scalar runs the closures in reverse topological order and releases each
 node once its closure has run, so only the leaves (and the scalar) keep a
 ``grad``. Leaf gradients are reset on every call, so each backward pass
 yields the exact gradient of that one scalar. A graph runs in the dtype of
-its activations: ``conv2d`` and ``batch_norm`` cast their float64 weights
-to it, so a float32 input gives float32 values and gradients throughout,
-and a float64 one (the gradient check) float64.
+its activations, its ops casting their float64 weights to it: float32 in
+training, float64 in the gradient check.
 
-The op set is deliberately small: the backbone's stride-1 same-padded
-convolution, per-channel batch normalization and relu, plus ``mul`` and
-``tsum``, which reduce an output to a scalar for the tests and the
-benchmark's backward replays. The training objective is one node of its
-own, built with ``_make`` in ``losses``.
-Convolution, which sets the cost of a training step, runs each pass as
-one GEMM per cache-sized block of output rows, on columns cut from the
-flat, zero-padded image. Batch-norm, the next cost, makes one centred
-copy of its input and takes its channel sums as einsum contractions; in
-eval mode it is forward-only, one scale and one shift per channel from
-``batch_norm_affine``. The eval-mode forward and the scorer use that and two
-array kernels with no graph, in their input's dtype: ``correlate`` and
-``log1p_exp``, which the loss uses too.
+The op set is deliberately small: ``conv_bn_relu``, one backbone stage
+(stride-1 same-padded convolution, training batch-norm, relu) as one node
+that keeps only what its backward reads; ``conv2d`` for the 1x1 heads;
+and ``mul`` and ``tsum``, which reduce an output to a scalar for the tests
+and the benchmark's backward replays. The training objective is one node
+of its own, built with ``_make`` in ``losses``. Convolution, which sets
+the cost of a step, runs each pass as one GEMM per cache-sized block of
+output rows, on columns cut from the flat, zero-padded image; batch-norm
+takes its channel sums as einsum contractions. The eval-mode forward and
+the scorer use three array kernels with no graph, in their input's dtype:
+``correlate``, ``batch_norm_affine`` (batch-norm as one scale and shift
+per channel) and ``log1p_exp``, which the loss uses too.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .errors import ContractViolation
 # columns are 288 x 528, 1.2 MB in float64 and 0.6 MB in float32 (training),
 # which stay in a 2 MiB L2.
 BLOCK_ROWS = 8
-BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch_norm's constants
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # batch-norm's constants
 
 
 class Tensor:
@@ -157,18 +155,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_val, (a, b), backprop)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0.0
-    # np.maximum (unlike np.where on the mask) propagates NaN, so numeric
-    # failures surface downstream instead of being flushed to zero
-    out_val = np.maximum(x.value, 0.0)
-
-    def backprop(g):
-        _accumulate(x, g * mask)
-
-    return _make(out_val, (x,), backprop)
-
-
 def log1p_exp(v: np.ndarray) -> np.ndarray:
     """Elementwise softplus ln(1 + e^v) in ``v``'s dtype, never overflowing."""
     return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
@@ -241,6 +227,44 @@ def correlate(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.n
     return out
 
 
+def _conv_forward(x: Tensor, w: Tensor):
+    """``conv2d``'s checks and forward: its output, and the ``_flat_pad`` input
+    and ``w`` in ``x``'s dtype that ``_conv_backprop`` reads."""
+    xv, wv = x.value, w.value
+    if xv.ndim != 4 or wv.ndim != 4:
+        raise ContractViolation("conv2d expects NCHW input and OIHW weights")
+    _, c, h, wd = xv.shape
+    co, ci, k, kw = wv.shape
+    if ci != c:
+        raise ContractViolation(f"channel mismatch: input {c}, weights expect {ci}")
+    if k != kw or k % 2 == 0:
+        raise ContractViolation("conv2d supports odd square kernels only")
+    wv = wv.astype(xv.dtype, copy=False)
+    xf = _flat_pad(xv, k // 2)
+    return _correlate(wv.reshape(co, c * k * k), xf, k, h, wd), xf, wv
+
+
+def _conv_backprop(g: np.ndarray, x: Tensor, w: Tensor, xf: np.ndarray,
+                   wv: np.ndarray) -> None:
+    """Route the output gradient ``g`` of a ``_conv_forward`` to ``x`` and ``w``."""
+    (_, c, h, wd), (co, _, k, _) = x.value.shape, wv.shape
+    p, wp = k // 2, wd + k - 1
+    gf = _flat_pad(g, p)
+    if w.requires_grad:
+        # g on the padded-width grid: row r of g starts at (r+p)*wp + p
+        # in gf, and the 2p slack positions after it are padding, so zero
+        g_grid = gf[:, :, p * wp + p:p * wp + p + h * wp]
+        gw = np.zeros((co, c * k * k), dtype=xf.dtype)
+        for i, rows, cols in _column_blocks(xf, k, h, wp):
+            gw += g_grid[i, :, rows.start * wp:rows.stop * wp] @ cols.T
+        _accumulate(w, gw.reshape(wv.shape))
+    if x.requires_grad:
+        # grad-x is the same-padded correlation of g with the kernel
+        # flipped in space and its in/out channels swapped
+        wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
+        _accumulate(x, _correlate(wt, gf, k, h, wd))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Stride-1 cross-correlation over NCHW input with zero 'same' padding.
 
@@ -252,42 +276,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     grad-w reads them from padded ``g``, where they are zero. With a 1x1
     kernel, forward and grad-x are one batched GEMM with no column copy.
     """
-    xv, wv = x.value, w.value
-    if xv.ndim != 4 or wv.ndim != 4:
-        raise ContractViolation("conv2d expects NCHW input and OIHW weights")
-    _, c, h, wd = xv.shape
-    co, ci, k, kw = wv.shape
-    if ci != c:
-        raise ContractViolation(f"channel mismatch: input {c}, weights expect {ci}")
-    if k != kw or k % 2 == 0:
-        raise ContractViolation("conv2d supports odd square kernels only")
-    if b is not None and b.value.shape != (co,):
-        raise ContractViolation(f"bias shape {b.value.shape} != ({co},)")
-    p = k // 2
-    wp = wd + 2 * p
-    wv = wv.astype(xv.dtype, copy=False)
-    xf = _flat_pad(xv, p)
-    out_val = _correlate(wv.reshape(co, c * k * k), xf, k, h, wd)
+    out_val, xf, wv = _conv_forward(x, w)
     if b is not None:
-        out_val += b.value.astype(xv.dtype, copy=False)[:, None, None]
+        if b.value.shape != wv.shape[:1]:
+            raise ContractViolation(f"bias shape {b.value.shape} != ({len(wv)},)")
+        out_val += b.value.astype(out_val.dtype, copy=False)[:, None, None]
 
     def backprop(g):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        gf = _flat_pad(g, p)
-        if w.requires_grad:
-            # g on the padded-width grid: row r of g starts at (r+p)*wp + p
-            # in gf, and the 2p slack positions after it are padding, so zero
-            g_grid = gf[:, :, p * wp + p:p * wp + p + h * wp]
-            gw = np.zeros((co, c * k * k), dtype=xv.dtype)
-            for i, rows, cols in _column_blocks(xf, k, h, wp):
-                gw += g_grid[i, :, rows.start * wp:rows.stop * wp] @ cols.T
-            _accumulate(w, gw.reshape(wv.shape))
-        if x.requires_grad:
-            # grad-x is the same-padded correlation of g with the kernel
-            # flipped in space and its in/out channels swapped
-            wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
-            _accumulate(x, _correlate(wt, gf, k, h, wd))
+        _conv_backprop(g, x, w, xf, wv)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_val, parents, backprop)
@@ -301,60 +299,62 @@ def batch_norm_affine(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndar
     return scale, beta - running_mean * scale
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool) -> Tensor:
-    """Per-channel affine normalization of NCHW input.
+def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
+                 running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
+    """One backbone stage, relu(batch-norm(conv2d(x, w))), as one node in
+    ``x``'s dtype; with ``w`` None, relu(batch-norm(x)).
 
-    Training mode normalizes with biased batch statistics, folds them into
-    the (float64) running averages in place, and keeps one centred copy
-    ``xhat``, normalized in place, for backward; channel sums are einsum
-    contractions. It runs in ``x``'s dtype, ``gamma`` and ``beta`` cast to it.
-    Eval mode is forward-only: the ``batch_norm_affine`` scale and shift,
-    returned as a constant with no recorded graph.
+    Batch-norm uses biased batch statistics (einsum sums) and folds them
+    into the float64 running averages in place. The private conv output is
+    centred and scaled in place into ``xhat``; a shared ``x`` is copied
+    once. Relu runs in place; ``np.maximum`` propagates NaN. Backward runs
+    the relu, batch-norm and conv formulas in order on the conv's padded
+    input, ``xhat`` and the output, whose positives are relu's mask.
     """
-    xv = x.value
-    if xv.ndim != 4:
-        raise ContractViolation(f"batch_norm expects NCHW input, got shape {xv.shape}")
-    n, c, h, wd = xv.shape
+    y, xf, wv = (x.value, None, None) if w is None else _conv_forward(x, w)
+    if y.ndim != 4:
+        raise ContractViolation(f"batch-norm expects NCHW input, got shape {y.shape}")
+    n, c, h, wd = y.shape
     for name, a in (("gamma", gamma.value), ("beta", beta.value),
                     ("running_mean", running_mean), ("running_var", running_var)):
         if np.shape(a) != (c,):
             raise ContractViolation(f"{name} shape {np.shape(a)} != ({c},)")
-    x3 = xv.reshape(n, c, h * wd)
-    if not training:
-        scale, shift = batch_norm_affine(gamma.value, beta.value, running_mean, running_var)
-        out_val = x3 * scale[:, None]
-        out_val += shift[:, None]
-        return constant(out_val.reshape(xv.shape))
+    y3 = y.reshape(n, c, h * wd)
     m = n * h * wd
-    mu = np.einsum("nck->c", x3) / m
-    xhat = x3 - mu[:, None]
+    mu = np.einsum("nck->c", y3) / m
+    xhat = y3 - mu[:, None] if w is None else np.subtract(y3, mu[:, None], out=y3)
     var = np.einsum("nck,nck->c", xhat, xhat) / m
-    running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mu
-    running_var *= 1.0 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * var
+    for run, stat in ((running_mean, mu), (running_var, var)):
+        run *= 1.0 - BN_MOMENTUM
+        run += BN_MOMENTUM * stat
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
-    gv = gamma.value.astype(xv.dtype, copy=False)
-    out_val = xhat * gv[:, None]
-    out_val += beta.value.astype(xv.dtype, copy=False)[:, None]
+    gv = gamma.value.astype(y.dtype, copy=False)
+    out = xhat * gv[:, None]
+    out += beta.value.astype(y.dtype, copy=False)[:, None]
+    np.maximum(out, 0.0, out=out)
 
     def backprop(g):
         # g may alias a sibling's grad (see _accumulate): read it, never write
-        g3 = g.reshape(n, c, h * wd)
+        g3 = g.reshape(n, c, h * wd) * (out > 0.0)
         sum_g = np.einsum("nck->c", g3)
         sum_gxhat = np.einsum("nck,nck->c", g3, xhat)
         if beta.requires_grad:
             _accumulate(beta, sum_g)
         if gamma.requires_grad:
             _accumulate(gamma, sum_gxhat)
-        if not x.requires_grad:
+        if not (x.requires_grad or w is not None and w.requires_grad):
             return
-        gx = xhat * (-sum_gxhat / m)[:, None]
+        # xhat has no reader after this: the batch-norm gradient overwrites it
+        gx = np.multiply(xhat, (-sum_gxhat / m)[:, None], out=xhat)
         gx += g3
+        del g3  # freed before the conv backward allocates
         gx -= (sum_g / m)[:, None]
         gx *= (gv * inv)[:, None]
-        _accumulate(x, gx.reshape(xv.shape))
+        if w is None:
+            _accumulate(x, gx.reshape(n, c, h, wd))
+        else:
+            _conv_backprop(gx.reshape(n, c, h, wd), x, w, xf, wv)
 
-    return _make(out_val.reshape(xv.shape), (x, gamma, beta), backprop)
+    parents = (x, gamma, beta) if w is None else (x, w, gamma, beta)
+    return _make(out.reshape(n, c, h, wd), parents, backprop)

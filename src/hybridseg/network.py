@@ -6,8 +6,9 @@ resolution. The backbone convs have no bias: the batch-norm after each one
 subtracts the channel mean and would cancel it. Pre-logit features feed two
 outputs: a 1x1 projection to K class logits, and a norm-relu-1x1 head whose
 logit z gives the per-pixel probability sigmoid(z) that the pixel is an
-inlier. Final projections start at zero so an untrained model predicts
-uniform class posteriors and a dataset posterior of 0.5 everywhere.
+inlier. In training each stage, and the head's norm-relu, is one
+``ad.conv_bn_relu`` node. Final projections start at zero so an untrained
+model predicts uniform class posteriors and a dataset posterior of 0.5.
 
 The model is one table: ``param_shapes`` names every persistent array
 (``stage0.w`` ... ``ood.b``) with its shape, in checkpoint order, and
@@ -157,10 +158,9 @@ def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> F
     if training:
         t = ad.constant(x)
         for s in stages:
-            t = ad.relu(ad.batch_norm(ad.conv2d(t, p[s + "w"]), *_bn(p, s), training=True))
+            t = ad.conv_bn_relu(t, p[s + "w"], *_bn(p, s))
         logits = ad.conv2d(t, p["cls.w"], p["cls.b"])
-        h = ad.relu(ad.batch_norm(t, *_bn(p, "ood."), training=True))
-        z = ad.conv2d(h, p["ood.w"], p["ood.b"])
+        z = ad.conv2d(ad.conv_bn_relu(t, None, *_bn(p, "ood.")), p["ood.w"], p["ood.b"])
         outputs = t.value, logits.value, z.value
     else:
         t = x.astype(np.result_type(x, 0.0), copy=False)

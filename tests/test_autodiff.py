@@ -12,6 +12,12 @@ def scalar_loss(t):
     return ad.tsum(ad.mul(t, t))
 
 
+def stage(x, w, gamma, beta):
+    """``conv_bn_relu`` with fresh running statistics (zeros and ones)."""
+    c = len(gamma.value)
+    return ad.conv_bn_relu(x, w, gamma, beta, np.zeros(c), np.ones(c))
+
+
 class TestGraphMechanics:
     def test_backward_without_graph_rejected(self):
         with pytest.raises(ContractViolation):
@@ -38,12 +44,12 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(x.grad, first)
 
     def test_backward_releases_graph(self):
-        # loss = sum((relu(w x) c)^2): every node is released, interior
-        # grads are dropped, and the leaves and the root keep theirs
+        # loss = sum((w x c)^2): every node is released, interior grads are
+        # dropped, and the leaves and the root keep theirs
         x, w = ad.parameter(np.arange(3.0)), ad.parameter(2.0)
         c = ad.constant(np.array([1.0, -1.0, 0.5]))
-        h = ad.relu(ad.mul(x, w))
-        inner = [h._parents[0], h, ad.mul(h, c)]
+        h = ad.mul(x, w)
+        inner = [h, ad.mul(h, c)]
         loss = ad.tsum(ad.mul(inner[-1], inner[-1]))
         inner.append(loss._parents[0])
         loss.backward()
@@ -51,8 +57,7 @@ class TestGraphMechanics:
             assert node._parents == () and node._backprop is None
         assert all(node.grad is None for node in inner)
         assert loss.grad == 1.0
-        # 2 (w x c) c times w and x where w x > 0, i.e. at x = 1 and 2,
-        # and 2 (w x c) times relu(w x) for c
+        # 2 (w x c) c times w for x, times x for w, and 2 (w x c) w x for c
         np.testing.assert_array_equal(x.grad, [0.0, 8.0, 4.0])
         assert w.grad == 1 * 4 + 2 * 2
         np.testing.assert_array_equal(c.grad, [0.0, -8.0, 16.0])
@@ -61,11 +66,11 @@ class TestGraphMechanics:
 
     def test_backward_frees_the_chain_as_it_walks_it(self):
         # 16 rounds of 1 MiB activations: holding every interior gradient
-        # until the walk ends would take about 33 MiB more
+        # until the walk ends would take about 16 MiB more
         x = ad.parameter(np.random.default_rng(0).normal(size=2 ** 17))
         y = x
         for _ in range(16):
-            y = ad.relu(ad.mul(y, ad.constant(1.5)))
+            y = ad.mul(y, ad.constant(1.5))
         loss = ad.tsum(y)
         del y
         tracemalloc.start()
@@ -76,7 +81,7 @@ class TestGraphMechanics:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
-        np.testing.assert_array_equal(x.grad, np.where(x.value > 0, 1.5 ** 16, 0.0))
+        np.testing.assert_array_equal(x.grad, np.full(x.value.shape, 1.5 ** 16))
 
     def test_constant_times_zero_gives_exact_zero_grads(self):
         x = ad.parameter(np.arange(4.0))
@@ -126,14 +131,28 @@ class TestElementwiseGradients:
                       [a, b, c], rtol=1e-5)
 
     def test_relu(self):
-        # keep coordinates away from the kink; finite differences straddle it
-        x = np.linspace(-2, 2, 9) + 0.011
-        check_op_grad(lambda t: ad.tsum(ad.mul(ad.relu(t), t)), [x], rtol=1e-5)
+        # relu through the stage op: beta near 0 clips about half the
+        # outputs; finite differences stay clear of the kink
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 2, 3, 3))
+        weight = rng.normal(size=x.shape)
+        beta = np.array([-0.2, 0.3])
+        out = stage(ad.constant(x), None, ad.constant(np.ones(2)), ad.constant(beta))
+        assert 0.25 < np.mean(out.value == 0.0) < 0.75
+        check_op_grad(lambda t, bb: ad.tsum(ad.mul(
+            stage(t, None, ad.constant(np.ones(2)), bb), ad.constant(weight))),
+            [x, beta], rtol=1e-5)
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        x = ad.parameter(np.array([0.0]))
-        ad.tsum(ad.relu(x)).backward()
-        np.testing.assert_array_equal(x.grad, [0.0])
+        # the middle pixel normalizes to exactly 0, so with beta 0 it sits
+        # on the kink and passes no gradient to beta
+        x = ad.parameter(np.array([-1.0, 0.0, 1.0]).reshape(1, 1, 1, 3))
+        gamma, beta = ad.parameter(np.ones(1)), ad.parameter(np.zeros(1))
+        out = stage(x, None, gamma, beta)
+        assert out.value[0, 0, 0, 1] == 0.0
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(beta.grad, [1.0])
+        np.testing.assert_array_equal(gamma.grad, out.value[..., 2].ravel())
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_log1p_exp_keeps_dtype_and_matches_logaddexp(self, dtype):
@@ -337,38 +356,162 @@ class TestConv2d:
                       ad.constant(np.zeros((3, 2, 3, 3))), ad.parameter(np.zeros(shape)))
 
 
+def reference_stage(x, w, gamma, beta, rm, rv, g):
+    """relu(batch-norm(conv2d(x, w))) of float64 arrays, and its gradients
+    for the cotangent ``g``, from the loop convolutions and
+    ``reference_batch_norm``; ``w`` None skips the conv. Returns ``(out,
+    grad_x, grad_w, grad_gamma, grad_beta, running_mean, running_var)``."""
+    y = x if w is None else naive_conv2d(x, w, np.zeros(len(w)))
+    bn = reference_batch_norm(y, gamma, beta, rm, rv, True, g)[0]
+    gy, g_gamma, g_beta, rm, rv = reference_batch_norm(y, gamma, beta, rm, rv, True,
+                                                       g * (bn > 0.0))[1:]
+    if w is None:
+        return np.maximum(bn, 0.0), gy, None, g_gamma, g_beta, rm, rv
+    return (np.maximum(bn, 0.0), loop_conv2d_grad_x(w, gy),
+            loop_conv2d_grad_w(x, gy, w.shape[-1]), g_gamma, g_beta, rm, rv)
+
+
+def stage_case(seed, shape, co, k, dtype=np.float64):
+    """x, w (None without a kernel size), gamma, beta, running mean and var
+    and a cotangent for a stage from ``shape`` to ``co`` channels."""
+    rng = np.random.default_rng(seed)
+    c = shape[1] if k is None else co
+    x = rng.normal(loc=0.5, size=shape).astype(dtype)
+    w = None if k is None else rng.normal(size=(co, shape[1], k, k)) * 0.5
+    g = rng.normal(size=(shape[0], c) + shape[2:]).astype(dtype)
+    return (x, w, rng.uniform(0.5, 1.5, size=c), rng.normal(scale=0.5, size=c),
+            rng.normal(size=c), rng.uniform(0.5, 2.0, size=c), g)
+
+
+def run_stage(x, w, gamma, beta, rm, rv, g):
+    """The stage op on tensors of ``x`` (its dtype) and of the float64
+    parameters, backward from ``sum(out * g)``: ``(out, grad_x, grad_w,
+    grad_gamma, grad_beta)``; ``rm`` and ``rv`` are updated in place."""
+    xt = ad.Tensor(x, requires_grad=True)
+    wt = None if w is None else ad.parameter(w)
+    gt, bt = ad.parameter(gamma), ad.parameter(beta)
+    out = ad.conv_bn_relu(xt, wt, gt, bt, rm, rv)
+    ad.tsum(ad.mul(out, ad.constant(g))).backward()
+    return out.value, xt.grad, None if w is None else wt.grad, gt.grad, bt.grad
+
+
+KERNELS = [1, 3, 5, None]  # None: the OOD head's norm-relu, with no conv
+
+
+class TestConvBnRelu:
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_matches_loop_reference(self, k):
+        x, w, gamma, beta, rm, rv, g = stage_case(80 + (k or 0), (2, 3, 6, 5), 4, k)
+        want = reference_stage(x, w, gamma, beta, rm, rv, g)
+        got = run_stage(x, w, gamma, beta, rm, rv, g) + (rm, rv)
+        assert 0.2 < np.mean(got[0] == 0.0) < 0.8  # the relu clips
+        for a, ref in zip(got, want):
+            if ref is None:
+                assert a is None
+                continue
+            assert a.shape == ref.shape and a.dtype == np.float64
+            np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_gradients(self, k):
+        x, w, gamma, beta, _, _, weight = stage_case(90 + (k or 0), (2, 2, 4, 3), 3, k)
+        arrays = [x, gamma, beta] + ([] if w is None else [w])
+
+        def build(xx, gg, bb, ww=None):
+            return ad.tsum(ad.mul(stage(xx, ww, gg, bb), ad.constant(weight)))
+
+        check_op_grad(build, arrays, rtol=2e-5)
+
+    @pytest.mark.parametrize("shape,co,k", [((2, 3, 8, 11), 4, 3), ((3, 2, 17, 20), 3, 5),
+                                            ((4, 16, 64, 64), 32, 3)])
+    def test_float32_tracks_float64(self, shape, co, k):
+        # the reference is the float64 op on the same float32-rounded x and
+        # g; the last shape is the second stage of a 64x64 training batch.
+        # TestBatchNorm covers the op with no conv.
+        x, w, gamma, beta, _, _, g = stage_case(sum(shape) + co, shape, co, k, np.float32)
+        runs, stats = [], []
+        for dtype in (np.float32, np.float64):
+            rm, rv = np.zeros(len(gamma)), np.ones(len(gamma))
+            runs.append(run_stage(x.astype(dtype), w, gamma, beta, rm, rv, g.astype(dtype)))
+            stats.append((rm, rv))
+        for a, want in zip(*runs):
+            if want is None:
+                continue
+            assert a.dtype == np.float32
+            assert_tracks_float64(a, want)
+        for a, want in zip(*stats):
+            assert a.dtype == np.float64
+            assert_tracks_float64(a, want)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])  # TestBatchNorm covers the op with no conv
+    def test_input_and_incoming_gradient_unchanged(self, k):
+        x, w, gamma, beta, rm, rv, _ = stage_case(100 + k, (2, 3, 5, 4), 3, k)
+        xt = ad.parameter(x)
+        out = ad.conv_bn_relu(xt, ad.parameter(w), ad.parameter(gamma), ad.parameter(beta),
+                              rm, rv)
+        np.testing.assert_array_equal(xt.value, x)
+        # tsum hands its input a read-only view of one gradient array, so a
+        # write into the incoming gradient would raise
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(xt.value, x)
+        assert np.isfinite(xt.grad).all()
+
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_nan_propagates_through_the_relu(self, k):
+        # np.maximum keeps NaN; a masked copy would flush it to 0 wherever
+        # the affine output is negative
+        x, w, gamma, beta, rm, rv, _ = stage_case(110 + (k or 0), (1, 2, 4, 4), 2, k)
+        x[0, 0, 0, 0] = np.nan
+        beta[:] = -100.0  # every finite output clips to 0
+        with np.errstate(invalid="ignore"):
+            out = ad.conv_bn_relu(ad.constant(x), None if w is None else ad.constant(w),
+                                  ad.constant(gamma), ad.constant(beta), rm, rv)
+        assert np.isnan(out.value[:, 0]).all() and np.isnan(rm[0])
+
+    def test_builds_one_node_that_holds_no_conv_output(self):
+        x, w, gamma, beta, rm, rv, _ = stage_case(120, (1, 2, 5, 5), 3, 3)
+        xt, wt = ad.parameter(x), ad.parameter(w)
+        out = ad.conv_bn_relu(xt, wt, ad.parameter(gamma), ad.parameter(beta), rm, rv)
+        assert out._parents[:2] == (xt, wt) and len(out._parents) == 4
+        held = [c.cell_contents for c in out._backprop.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.size >= x.size]
+        # the weights, the padded input, xhat and the output itself, whose
+        # positives are the relu mask
+        assert sorted(a.size for a in arrays) == [3 * 2 * 9, 3 * 25, 3 * 25, 2 * 8 * 7]
+        assert sum(np.shares_memory(a, out.value) for a in arrays) == 1
+
+
 class TestBatchNorm:
+    """Training batch-norm through the stage op with no conv; eval mode
+    through ``batch_norm_affine``."""
+
     def test_training_forward_normalizes(self):
+        # beta 10 keeps every output clear of the relu
         rng = np.random.default_rng(11)
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 3, 5, 5))
-        rm, rv = np.zeros(3), np.ones(3)
-        out = ad.batch_norm(ad.constant(x), ad.constant(np.ones(3)),
-                            ad.constant(np.zeros(3)), rm, rv, training=True)
-        np.testing.assert_allclose(out.value.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
+        out = stage(ad.constant(x), None, ad.constant(np.ones(3)),
+                    ad.constant(np.full(3, 10.0)))
+        np.testing.assert_allclose(out.value.mean(axis=(0, 2, 3)), 10.0, atol=1e-10)
         np.testing.assert_allclose(out.value.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     def test_running_stats_updated_only_in_training(self):
         x = np.random.default_rng(12).normal(size=(2, 2, 3, 3))
         rm, rv = np.zeros(2), np.ones(2)
-        ad.batch_norm(ad.constant(x), ad.constant(np.ones(2)), ad.constant(np.zeros(2)),
-                      rm, rv, training=False)
+        ad.batch_norm_affine(np.ones(2), np.zeros(2), rm, rv)
         np.testing.assert_array_equal(rm, 0.0)
-        ad.batch_norm(ad.constant(x), ad.constant(np.ones(2)), ad.constant(np.zeros(2)),
-                      rm, rv, training=True)
+        ad.conv_bn_relu(ad.constant(x), None, ad.constant(np.ones(2)),
+                        ad.constant(np.zeros(2)), rm, rv)
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 2, 4, 4))
         gamma = rng.uniform(0.5, 1.5, size=2)
-        beta = rng.normal(size=2)
+        beta = rng.normal(size=2) + 5.0  # outputs clear of the relu's kink
         weight = rng.normal(size=(3, 2, 4, 4))
-        rm = rng.normal(size=2)
-        rv = rng.uniform(0.5, 2.0, size=2)
 
         def build(xx, gg, bb):
-            out = ad.batch_norm(xx, gg, bb, rm.copy(), rv.copy(), training=True)
-            return ad.tsum(ad.mul(out, ad.constant(weight)))
+            return ad.tsum(ad.mul(stage(xx, None, gg, bb), ad.constant(weight)))
 
         check_op_grad(build, [x, gamma, beta], rtol=2e-5)
         # x a constant: only gamma and beta need gradients
@@ -393,14 +536,17 @@ class TestBatchNorm:
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_reference(self, training, seed, offset):
         x, gamma, beta, rm, rv, g = self.bn_case(seed, offset)
-        want = reference_batch_norm(x, gamma, beta, rm, rv, training, g)
-        xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
-        rm, rv = rm.copy(), rv.copy()
-        out = ad.batch_norm(xt, gt, bt, rm, rv, training=training)
-        pairs = [(out.value, want[0]), (rm, want[4]), (rv, want[5])]
-        if training:  # eval mode records no graph
-            ad.tsum(ad.mul(out, ad.constant(g))).backward()
-            pairs += zip((xt.grad, gt.grad, bt.grad), want[1:4])
+        if training:
+            want = reference_stage(x, None, gamma, beta, rm, rv, g)
+            rm, rv = rm.copy(), rv.copy()
+            got = run_stage(x, None, gamma, beta, rm, rv, g)
+            pairs = [(a, b) for a, b in zip(got, want) if b is not None]
+            pairs += [(rm, want[5]), (rv, want[6])]
+        else:
+            want = reference_batch_norm(x, gamma, beta, rm, rv, False, g)
+            scale, shift = ad.batch_norm_affine(gamma, beta, rm, rv)
+            pairs = [(x * scale[:, None, None] + shift[:, None, None], want[0]),
+                     (rm, want[4]), (rv, want[5])]
         for got, ref in pairs:
             assert got.dtype == np.float64
             # relative to the array's largest entry: elementwise rtol means
@@ -421,14 +567,13 @@ class TestBatchNorm:
         g = rng.normal(size=shape).astype(np.float32)
         runs = []
         for dtype in (np.float32, np.float64):
-            xt = ad.Tensor(x.astype(dtype), requires_grad=True)
-            gt, bt = ad.parameter(gamma), ad.parameter(beta)
             rm, rv = np.zeros(c), np.ones(c)
-            out = ad.batch_norm(xt, gt, bt, rm, rv, training=True)
-            ad.tsum(ad.mul(out, ad.constant(g.astype(dtype)))).backward()
-            runs.append(((out.value, xt.grad, gt.grad, bt.grad), (rm, rv)))
+            runs.append((run_stage(x.astype(dtype), None, gamma, beta, rm, rv,
+                                   g.astype(dtype)), (rm, rv)))
         (got, got_stats), (ref, ref_stats) = runs
         for a, want in zip(got, ref):
+            if want is None:
+                continue
             assert a.dtype == np.float32
             assert_tracks_float64(a, want)
         for a, want in zip(got_stats, ref_stats):
@@ -436,24 +581,18 @@ class TestBatchNorm:
             assert_tracks_float64(a, want)
 
     def test_input_and_incoming_gradient_unchanged(self):
+        # the input is shared (the class head reads the same pre-logits as
+        # the OOD head's norm-relu), so the op must normalize a copy of it
         x, gamma, beta, rm, rv, _ = self.bn_case(3, offset=False)
+        beta = beta + 10.0  # no output clipped
         xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
-        out = ad.batch_norm(xt, gt, bt, rm, rv, training=True)
+        out = ad.conv_bn_relu(xt, None, gt, bt, rm, rv)
         np.testing.assert_array_equal(xt.value, x)
         # tsum hands its input a read-only view of one gradient array, so a
         # write into the incoming gradient would raise
         ad.tsum(out).backward()
         np.testing.assert_array_equal(bt.grad, np.full(4, x[:, 0].size))
         np.testing.assert_array_equal(xt.value, x)
-
-    def test_eval_is_forward_only(self):
-        x, gamma, beta, rm, rv, _ = self.bn_case(4, offset=False)
-        xt, gt, bt = ad.parameter(x), ad.parameter(gamma), ad.parameter(beta)
-        out = ad.batch_norm(xt, gt, bt, rm, rv, training=False)
-        np.testing.assert_array_equal(xt.value, x)
-        assert not out.requires_grad
-        with pytest.raises(ContractViolation, match="no recorded graph"):
-            ad.tsum(out).backward()
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_affine_matches_reference_eval(self, offset):
@@ -465,8 +604,8 @@ class TestBatchNorm:
 
     def test_non_4d_input_rejected(self):
         with pytest.raises(ContractViolation, match="NCHW"):
-            ad.batch_norm(ad.constant(np.zeros((2, 3, 4))), ad.parameter(np.ones(3)),
-                          ad.parameter(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
+            ad.conv_bn_relu(ad.constant(np.zeros((2, 3, 4))), None, ad.parameter(np.ones(3)),
+                            ad.parameter(np.zeros(3)), np.zeros(3), np.ones(3))
 
     @pytest.mark.parametrize("which", ["gamma", "beta", "running_mean", "running_var"])
     def test_per_channel_argument_of_another_length_rejected(self, which):
@@ -474,6 +613,6 @@ class TestBatchNorm:
                 "running_mean": np.zeros(3), "running_var": np.ones(3)}
         args[which] = args[which][:2]
         with pytest.raises(ContractViolation, match=f"{which} shape"):
-            ad.batch_norm(ad.constant(np.zeros((2, 3, 4, 4))), ad.parameter(args["gamma"]),
-                          ad.parameter(args["beta"]), args["running_mean"],
-                          args["running_var"], training=False)
+            ad.conv_bn_relu(ad.constant(np.zeros((2, 3, 4, 4))), None,
+                            ad.parameter(args["gamma"]), ad.parameter(args["beta"]),
+                            args["running_mean"], args["running_var"])

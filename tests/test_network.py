@@ -10,7 +10,9 @@ from hybridseg import autodiff as ad
 from hybridseg.autodiff import BN_EPS
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
 from hybridseg.inference import SCORE_VARIANTS, score_image
+from hybridseg.losses import compound_loss
 from hybridseg.network import (
+    BN_ARRAYS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     ForwardMaps,
@@ -88,6 +90,15 @@ class TestForward:
         with pytest.raises(NumericFailure):
             forward(params, rand_image((1, 3, 4, 4)))
 
+    @pytest.mark.parametrize("name", ["stage0.w", "stage1.gamma", "ood.beta"])
+    def test_non_finite_stage_aborts_training(self, name):
+        # a NaN spreads through its stage's batch statistics, and the
+        # in-place relu keeps it, so the finiteness check still sees it
+        params = init_params(CFG)
+        params[name].value.flat[0] = np.nan
+        with pytest.raises(NumericFailure):
+            forward(params, rand_image((2, 3, 6, 6)).astype(np.float32), training=True)
+
     def test_forward_is_deterministic(self):
         params = init_params(CFG)
         img = rand_image((2, 3, 6, 6), seed=7)
@@ -100,6 +111,42 @@ class TestForward:
         img = rand_image((2, 3, 6, 6), seed=8)
         forward(params, img, training=True)
         assert not np.allclose(params["stage0.run_mean"], 0.0)
+
+
+class TestTrainingMemory:
+    def test_graph_holds_only_what_backward_reads(self):
+        # float32 bytes a training graph needs for backward: per 3x3 stage
+        # its padded input (h + 3 rows of w + 2), xhat, its output (whose
+        # positives are the relu mask) and its weights; xhat and the output
+        # of the OOD head's norm-relu; the two head outputs; and the loss's
+        # log-sum-exp, label index, two softplus maps and two pixel masks
+        # (4 + 1 + 4 + 4 + 1 + 1 bytes a pixel). A stage that kept its conv
+        # or batch-norm output, 147 KiB for the smallest here, fails.
+        cfg = NetworkConfig(input_channels=3, widths=(8, 16, 16), num_classes=3, seed=5)
+        params = init_params(cfg)
+        n, h, w = 2, 48, 48
+        px, c = n * h * w, cfg.input_channels
+        rng = np.random.default_rng(0)
+        image = rng.uniform(0, 1, size=(n, c, h, w)).astype(np.float32)
+        labels = rng.choice(np.array([0, 1, 2, 3, 255], dtype=np.uint8), size=(n, h, w))
+        need = 0
+        for width in cfg.widths:
+            need += 4 * (n * c * (h + 3) * (w + 2) + 2 * width * px + width * c * 9)
+            c = width
+        need += 4 * (2 * c * px + (cfg.num_classes + 1) * px) + 15 * px
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            maps = forward(params, image, training=True)
+            loss, _ = compound_loss(maps.logits, maps.dataset_logit, labels, 0.1)
+            del maps
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # 32 KiB for the Python objects and per-channel vectors of the graph
+        assert need <= held <= need + 32 * 2 ** 10
+        loss.backward()
+        assert all(np.isfinite(t.grad).all() for _, t in params.trainable())
 
 
 class TestInit:
@@ -271,18 +318,26 @@ class TestCheckpoint:
 
 
 def v1_forward(params, stage_biases, image):
-    """Eval-mode forward of a version-1 model, whose backbone convs add a bias."""
-    p = params
-    t = ad.constant(image)
+    """Eval-mode forward of a version-1 model, whose backbone convs add a
+    bias, unfolded: conv, then batch-norm on the running statistics, then
+    relu, in numpy."""
+    p = dict(params.named_arrays())
+
+    def conv(x, w, b):
+        k = w.shape[-1]
+        xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        return np.einsum("nchwuv,ocuv->nohw", windows, w) + b[:, None, None]
+
+    def bn_relu(x, prefix):
+        scale, shift = ad.batch_norm_affine(*(p[prefix + f] for f in BN_ARRAYS))
+        return np.maximum(x * scale[:, None, None] + shift[:, None, None], 0.0)
+
+    t = image
     for i, b in enumerate(stage_biases):
-        s = f"stage{i}."
-        t = ad.relu(ad.batch_norm(ad.conv2d(t, p[s + "w"], ad.constant(b)), p[s + "gamma"],
-                                  p[s + "beta"], p[s + "run_mean"], p[s + "run_var"],
-                                  training=False))
-    h = ad.relu(ad.batch_norm(t, p["ood.gamma"], p["ood.beta"], p["ood.run_mean"],
-                              p["ood.run_var"], training=False))
-    return ForwardMaps(logits=ad.conv2d(t, p["cls.w"], p["cls.b"]),
-                       dataset_logit=ad.conv2d(h, p["ood.w"], p["ood.b"]))
+        t = bn_relu(conv(t, p[f"stage{i}.w"], b), f"stage{i}.")
+    return ForwardMaps(logits=conv(t, p["cls.w"], p["cls.b"]),
+                       dataset_logit=conv(bn_relu(t, "ood."), p["ood.w"], p["ood.b"]))
 
 
 def v1_model(seed=0):
@@ -314,8 +369,8 @@ class TestVersion1Checkpoint:
         want = v1_forward(v1, biases, image[None])
         for a, b in ((got.logits, want.logits),
                      (got.dataset_logit, want.dataset_logit)):
-            np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
-        want_argmax = want.logits.value[0].argmax(axis=0)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        want_argmax = want.logits[0].argmax(axis=0)
         assert len(np.unique(want_argmax)) > 1
         np.testing.assert_array_equal(score_image(loaded, image).argmax, want_argmax)
 
@@ -374,12 +429,12 @@ class TestEvalFold:
         params = random_model(kernel_size)
         image = rand_image((2, 3, 9, 7), seed=2)
         got = forward(params, image)
-        # with zero biases v1_forward is conv -> batch_norm(training=False) -> relu
+        # with zero biases v1_forward is the unfolded conv -> batch-norm -> relu
         want = v1_forward(params, [np.zeros(w) for w in params.config.widths], image)
-        assert np.ptp(want.logits.value) > 1.0 and np.ptp(want.dataset_logit.value) > 1e-3
+        assert np.ptp(want.logits) > 1.0 and np.ptp(want.dataset_logit) > 1e-3
         for a, b in ((got.logits, want.logits),
                      (got.dataset_logit, want.dataset_logit)):
-            np.testing.assert_allclose(a, b.value, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_leaves_every_array_as_it_was(self, kernel_size):
         params = random_model(kernel_size)
