@@ -17,13 +17,18 @@ and the benchmark's backward replays. The training objective is one node
 of its own, built with ``_make`` in ``losses``. Convolution, which sets
 the cost of a step, runs each pass as one GEMM per cache-sized block of
 output rows, on columns cut from the flat, zero-padded image; batch-norm
-takes its channel sums as einsum contractions. The eval-mode forward and
-the scorer use three array kernels with no graph, in their input's dtype:
-``correlate``, ``batch_norm_affine`` (batch-norm as one scale and shift
-per channel) and ``log1p_exp``, which the loss uses too.
+takes its channel sums as einsum contractions. The two conv ops put their
+large arrays in the named slots of a ``Workspace``; training keeps one for
+the run, so a warm step asks the allocator for none, and an op given none
+takes a fresh one. The eval-mode forward and the scorer use three array
+kernels with no graph, in their input's dtype: ``correlate``,
+``batch_norm_affine`` (batch-norm as one scale and shift per channel) and
+``log1p_exp``, which the loss uses too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,6 +84,7 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
+        self.grad.flags.writeable = False  # kept: no closure may overwrite it
         while order:
             node = order.pop()
             if node._backprop is not None:
@@ -120,9 +126,18 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # grads are never mutated in place, so aliasing a parent's grad to an
-    # upstream array is safe
-    t.grad = g if t.grad is None else t.grad + g
+    # An op hands each gradient array to one node, and a writeable one is
+    # then that node's own: the first to arrive becomes t.grad, later ones
+    # are summed into it in place (a train step's head join), and t's
+    # backward may overwrite it. The root's grad and tsum's broadcast of it
+    # are read-only; a read-only grad, or one of a narrower dtype than the
+    # sum, is replaced by a fresh sum.
+    if t.grad is None:
+        t.grad = g
+    elif t.grad.flags.writeable and t.grad.dtype == np.result_type(t.grad, g):
+        t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 def _make(value: np.ndarray, parents: tuple[Tensor, ...], backprop) -> Tensor:
@@ -169,25 +184,83 @@ def tsum(x: Tensor) -> Tensor:
     return _make(out_val, (x,), backprop)
 
 
-def _flat_pad(a: np.ndarray, p: int) -> np.ndarray:
-    """Each channel of NCHW ``a`` zero-padded by ``p``, with one more zero
-    row at the bottom as slack for the last window, and flattened. A
-    reshape of ``a`` when ``p == 0``."""
-    if p:
-        a = np.pad(a, ((0, 0), (0, 0), (p, p + 1), (p, p)))
-    return a.reshape(a.shape[0], a.shape[1], -1)
+class Workspace:
+    """Named buffers that the large arrays of a train step reuse, step after
+    step, so that a warm step asks the allocator for none of them.
+
+    ``take(name, shape, dtype)`` returns the first bytes of slot ``name`` as
+    an array of undefined contents, and grows the slot when it is too small.
+    Arrays whose lifetimes do not overlap share a slot by sharing its name.
+    ``padded(name, a, p)`` is a conv's zero-padded copy of ``a`` in a slot;
+    its border is written only when the slot last held anything else, so a
+    warm step copies in the interior alone. ``scope(prefix)`` is a view of the
+    same slots that puts ``prefix`` before each name, except before the two
+    that the ops' backwards share, one op at a time: ``grad`` and ``scratch``.
+
+    The one rule: a graph built on a workspace reads its slots until
+    ``backward()`` has walked it, so walk it before the next forward on that
+    workspace. An op given no workspace takes a fresh one, which only its
+    graph holds; its slots are then plain fresh arrays.
+    """
+
+    SHARED = ("grad", "scratch")
+
+    def __init__(self, prefix: str = "", slots: dict | None = None):
+        self.prefix = prefix
+        # name -> [buffer, the padded (shape, dtype) whose border is zero]
+        self._slots = {} if slots is None else slots
+
+    def scope(self, prefix: str) -> "Workspace":
+        return Workspace(self.prefix + prefix, self._slots)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf, _ in self._slots.values())
+
+    def _slot(self, name: str, shape: tuple[int, ...], dtype) -> tuple[list, np.ndarray]:
+        key = name if name in self.SHARED else self.prefix + name
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        slot = self._slots.get(key)
+        if slot is None or slot[0].nbytes < size:
+            slot = self._slots[key] = [np.empty(size, dtype=np.uint8), None]
+        return slot, slot[0][:size].view(dtype).reshape(shape)
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        slot, a = self._slot(name, shape, dtype)
+        slot[1] = None
+        return a
+
+    def padded(self, name: str, a: np.ndarray, p: int) -> np.ndarray:
+        """Each channel of NCHW ``a`` zero-padded by ``p``, with one more zero
+        row at the bottom as slack for the last window, and flattened. A
+        reshape of ``a`` when ``p == 0``."""
+        n, c, h, w = a.shape
+        if not p:
+            return a.reshape(n, c, h * w)
+        geometry = ((n, c, h + 2 * p + 1, w + 2 * p), a.dtype)
+        slot, grid = self._slot(name, *geometry)
+        if slot[1] != geometry:
+            grid[:, :, :p] = 0
+            grid[:, :, p + h:] = 0
+            grid[:, :, p:p + h, :p] = 0
+            grid[:, :, p:p + h, p + w:] = 0
+            slot[1] = geometry
+        grid[:, :, p:p + h, p:p + w] = a
+        return grid.reshape(n, c, -1)
 
 
-def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int):
-    """Yield ``(i, rows, cols)`` over a ``_flat_pad`` buffer.
+def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int, ws: Workspace, slot: str):
+    """Yield ``(i, rows, cols)`` over a ``Workspace.padded`` buffer.
 
     ``cols`` is the ``(C*k*k, len(rows)*wp)`` column matrix of output rows
     ``rows`` of image ``i``, on the padded-width grid of ``wp`` columns per
     row, with its rows in OIHW weight order. Row ``(c, dy, dx)`` of a block
     from output row ``r0`` is the contiguous slice of channel ``c`` that
     starts at ``(r0+dy)*wp + dx``. A block is ``BLOCK_ROWS`` rows, copied
-    into one buffer that the next block overwrites, so it is still in cache
-    for its GEMM. With ``k == 1`` each image is its own column matrix.
+    into slot ``slot`` of ``ws``, which the next block overwrites, so it is
+    still in cache for its GEMM. With ``k == 1`` each image is its own
+    column matrix.
     """
     n, c, _ = flat.shape
     if k == 1:
@@ -197,7 +270,7 @@ def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int):
     sn, sc, se = flat.strides
     windows = np.lib.stride_tricks.as_strided(
         flat, (n, c, k, k, h * wp), (sn, sc, wp * se, se, se), writeable=False)
-    buf = np.empty((c * k * k, min(BLOCK_ROWS, h) * wp), dtype=flat.dtype)
+    buf = ws.take(slot, (c * k * k, min(BLOCK_ROWS, h) * wp), flat.dtype)
     for i in range(n):
         for r0 in range(0, h, BLOCK_ROWS):
             r1 = min(r0 + BLOCK_ROWS, h)
@@ -206,66 +279,77 @@ def _column_blocks(flat: np.ndarray, k: int, h: int, wp: int):
             yield i, slice(r0, r1), cols
 
 
-def _correlate(mat: np.ndarray, flat: np.ndarray, k: int, h: int, wd: int) -> np.ndarray:
-    """The (N, O, h, wd) product of the (O, C*k*k) ``mat`` with the columns of
-    a ``_flat_pad`` buffer of (N, C, h, wd) images, in the buffer's dtype."""
+def _correlate(mat: np.ndarray, flat: np.ndarray, k: int, out: np.ndarray,
+               ws: Workspace, cols: str) -> np.ndarray:
+    """Write into the (N, O, h, wd) ``out`` the product of the (O, C*k*k)
+    ``mat`` with the columns of a ``Workspace.padded`` buffer of (N, C, h, wd)
+    images, in the buffer's dtype, cutting the columns in slot ``cols``."""
+    n, _, h, wd = out.shape
     if k == 1:
-        return np.matmul(mat, flat).reshape(flat.shape[0], -1, h, wd)
-    out = np.empty((flat.shape[0], mat.shape[0], h, wd), dtype=flat.dtype)
-    for i, rows, cols in _column_blocks(flat, k, h, wd + k - 1):
-        out[i, :, rows] = (mat @ cols).reshape(-1, rows.stop - rows.start, wd + k - 1)[..., :wd]
+        np.matmul(mat, flat, out=out.reshape(n, -1, h * wd))
+        return out
+    for i, rows, block in _column_blocks(flat, k, h, wd + k - 1, ws, cols):
+        out[i, :, rows] = (mat @ block).reshape(-1, rows.stop - rows.start, wd + k - 1)[..., :wd]
     return out
 
 
 def correlate(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """``conv2d``'s forward on NCHW/OIHW arrays, with no graph, in ``x``'s
     dtype (``w`` and ``b`` are cast to it). Shapes are not checked."""
-    k = w.shape[-1]
-    out = _correlate(w.reshape(len(w), -1).astype(x.dtype), _flat_pad(x, k // 2), k, *x.shape[2:])
+    (n, _, h, wd), k, ws = x.shape, w.shape[-1], Workspace()
+    out = _correlate(w.reshape(len(w), -1).astype(x.dtype), ws.padded("pad", x, k // 2), k,
+                     np.empty((n, len(w), h, wd), dtype=x.dtype), ws, "scratch")
     if b is not None:
         out += b.astype(x.dtype)[:, None, None]
     return out
 
 
-def _conv_forward(x: Tensor, w: Tensor):
-    """``conv2d``'s checks and forward: its output, and the ``_flat_pad`` input
-    and ``w`` in ``x``'s dtype that ``_conv_backprop`` reads."""
+def _conv_forward(x: Tensor, w: Tensor, ws: Workspace, out: str | None, cols: str):
+    """``conv2d``'s checks and forward: its output (in slot ``out``, or fresh
+    when None), and the padded input and ``w`` in ``x``'s dtype that
+    ``_conv_backprop`` reads. The column blocks go to slot ``cols``."""
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4:
         raise ContractViolation("conv2d expects NCHW input and OIHW weights")
-    _, c, h, wd = xv.shape
+    n, c, h, wd = xv.shape
     co, ci, k, kw = wv.shape
     if ci != c:
         raise ContractViolation(f"channel mismatch: input {c}, weights expect {ci}")
     if k != kw or k % 2 == 0:
         raise ContractViolation("conv2d supports odd square kernels only")
     wv = wv.astype(xv.dtype, copy=False)
-    xf = _flat_pad(xv, k // 2)
-    return _correlate(wv.reshape(co, c * k * k), xf, k, h, wd), xf, wv
+    xf = ws.padded("pad", xv, k // 2)
+    shape = (n, co, h, wd)
+    y = np.empty(shape, dtype=xv.dtype) if out is None else ws.take(out, shape, xv.dtype)
+    return _correlate(wv.reshape(co, c * k * k), xf, k, y, ws, cols), xf, wv
 
 
-def _conv_backprop(g: np.ndarray, x: Tensor, w: Tensor, xf: np.ndarray,
-                   wv: np.ndarray) -> None:
-    """Route the output gradient ``g`` of a ``_conv_forward`` to ``x`` and ``w``."""
+def _conv_backprop(g: np.ndarray, x: Tensor, w: Tensor, xf: np.ndarray, wv: np.ndarray,
+                   ws: Workspace, gf_slot: str, gx_slot: str) -> None:
+    """Route the output gradient ``g`` of a ``_conv_forward`` to ``x`` and
+    ``w``: padded ``g`` goes to slot ``gf_slot``, grad-x to ``gx_slot`` and
+    the column blocks to ``scratch``."""
     (_, c, h, wd), (co, _, k, _) = x.value.shape, wv.shape
     p, wp = k // 2, wd + k - 1
-    gf = _flat_pad(g, p)
+    gf = ws.padded(gf_slot, g, p)
     if w.requires_grad:
         # g on the padded-width grid: row r of g starts at (r+p)*wp + p
         # in gf, and the 2p slack positions after it are padding, so zero
         g_grid = gf[:, :, p * wp + p:p * wp + p + h * wp]
         gw = np.zeros((co, c * k * k), dtype=xf.dtype)
-        for i, rows, cols in _column_blocks(xf, k, h, wp):
+        for i, rows, cols in _column_blocks(xf, k, h, wp, ws, "scratch"):
             gw += g_grid[i, :, rows.start * wp:rows.stop * wp] @ cols.T
         _accumulate(w, gw.reshape(wv.shape))
     if x.requires_grad:
         # grad-x is the same-padded correlation of g with the kernel
         # flipped in space and its in/out channels swapped
         wt = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * k * k)
-        _accumulate(x, _correlate(wt, gf, k, h, wd))
+        gx = ws.take(gx_slot, x.value.shape, gf.dtype)
+        _accumulate(x, _correlate(wt, gf, k, gx, ws, "scratch"))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
+           workspace: Workspace | None = None) -> Tensor:
     """Stride-1 cross-correlation over NCHW input with zero 'same' padding.
 
     Kernels must be square with odd side, so spatial resolution is always
@@ -275,8 +359,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     image: forward and grad-x crop those columns from each product, and
     grad-w reads them from padded ``g``, where they are zero. With a 1x1
     kernel, forward and grad-x are one batched GEMM with no column copy.
+
+    The output is a fresh array. In ``workspace`` (see ``Workspace``) the
+    padded input takes slot ``pad``, padded ``g`` slot ``gf``, and grad-x
+    the shared slot ``grad``.
     """
-    out_val, xf, wv = _conv_forward(x, w)
+    ws = Workspace() if workspace is None else workspace
+    out_val, xf, wv = _conv_forward(x, w, ws, None, "scratch")
     if b is not None:
         if b.value.shape != wv.shape[:1]:
             raise ContractViolation(f"bias shape {b.value.shape} != ({len(wv)},)")
@@ -285,7 +374,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backprop(g):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        _conv_backprop(g, x, w, xf, wv)
+        _conv_backprop(g, x, w, xf, wv, ws, "gf", "grad")
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_val, parents, backprop)
@@ -300,7 +389,8 @@ def batch_norm_affine(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndar
 
 
 def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
-                 running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
+                 running_mean: np.ndarray, running_var: np.ndarray, *,
+                 workspace: Workspace | None = None) -> Tensor:
     """One backbone stage, relu(batch-norm(conv2d(x, w))), as one node in
     ``x``'s dtype; with ``w`` None, relu(batch-norm(x)).
 
@@ -310,8 +400,17 @@ def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
     once. Relu runs in place; ``np.maximum`` propagates NaN. Backward runs
     the relu, batch-norm and conv formulas in order on the conv's padded
     input, ``xhat`` and the output, whose positives are relu's mask.
+
+    In ``workspace`` (see ``Workspace``) the padded input takes slot
+    ``pad``, ``xhat`` slot ``xhat`` and the output slot ``out``, where the
+    forward's column blocks go first. Backward writes the relu mask to
+    ``scratch``, the masked gradient over ``g`` (see ``_accumulate``), the
+    batch-norm gradient over ``xhat``, padded ``g`` to ``grad`` and grad-x
+    to ``xhat``; a 1x1 conv reads its ``g`` in ``xhat``, so its grad-x
+    takes ``grad``.
     """
-    y, xf, wv = (x.value, None, None) if w is None else _conv_forward(x, w)
+    ws = Workspace() if workspace is None else workspace
+    y, xf, wv = (x.value, None, None) if w is None else _conv_forward(x, w, ws, "xhat", "out")
     if y.ndim != 4:
         raise ContractViolation(f"batch-norm expects NCHW input, got shape {y.shape}")
     n, c, h, wd = y.shape
@@ -322,7 +421,8 @@ def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
     y3 = y.reshape(n, c, h * wd)
     m = n * h * wd
     mu = np.einsum("nck->c", y3) / m
-    xhat = y3 - mu[:, None] if w is None else np.subtract(y3, mu[:, None], out=y3)
+    xhat = np.subtract(y3, mu[:, None],
+                       out=ws.take("xhat", y3.shape, y.dtype) if w is None else y3)
     var = np.einsum("nck,nck->c", xhat, xhat) / m
     for run, stat in ((running_mean, mu), (running_var, var)):
         run *= 1.0 - BN_MOMENTUM
@@ -330,13 +430,17 @@ def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
     gv = gamma.value.astype(y.dtype, copy=False)
-    out = xhat * gv[:, None]
+    out = np.multiply(xhat, gv[:, None], out=ws.take("out", xhat.shape, y.dtype))
     out += beta.value.astype(y.dtype, copy=False)[:, None]
     np.maximum(out, 0.0, out=out)
 
     def backprop(g):
-        # g may alias a sibling's grad (see _accumulate): read it, never write
-        g3 = g.reshape(n, c, h * wd) * (out > 0.0)
+        # a writeable g is this node's own (see _accumulate), so the masked
+        # gradient overwrites it; a read-only one is left as it is
+        g = g.reshape(n, c, h * wd)
+        mask = np.greater(out, 0.0, out=ws.take("scratch", out.shape, np.bool_))
+        g3 = np.multiply(g, mask,
+                         out=g if g.flags.writeable else ws.take("g3", g.shape, g.dtype))
         sum_g = np.einsum("nck->c", g3)
         sum_gxhat = np.einsum("nck,nck->c", g3, xhat)
         if beta.requires_grad:
@@ -348,13 +452,13 @@ def conv_bn_relu(x: Tensor, w: Tensor | None, gamma: Tensor, beta: Tensor,
         # xhat has no reader after this: the batch-norm gradient overwrites it
         gx = np.multiply(xhat, (-sum_gxhat / m)[:, None], out=xhat)
         gx += g3
-        del g3  # freed before the conv backward allocates
         gx -= (sum_g / m)[:, None]
         gx *= (gv * inv)[:, None]
         if w is None:
             _accumulate(x, gx.reshape(n, c, h, wd))
         else:
-            _conv_backprop(gx.reshape(n, c, h, wd), x, w, xf, wv)
+            _conv_backprop(gx.reshape(n, c, h, wd), x, w, xf, wv, ws, "grad",
+                           "xhat" if wv.shape[-1] > 1 else "grad")
 
     parents = (x, gamma, beta) if w is None else (x, w, gamma, beta)
     return _make(out.reshape(n, c, h, wd), parents, backprop)

@@ -223,8 +223,8 @@ class SceneSample:
 
     Labels use 0..K-1 for inlier classes, K for anomalous pixels and
     IGNORE_LABEL for pixels excluded from both training and evaluation.
-    ``roles`` holds the role mask of generated and loaded scenes; training
-    crops carry none. ``distance`` (optional, meters) supports range-binned
+    ``roles`` holds the role mask of a generated scene, which
+    ``save_scenes`` writes; loaded scenes and training crops carry none. ``distance`` (optional, meters) supports range-binned
     evaluation.
     """
 
@@ -503,7 +503,8 @@ def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
     class below num_classes on every inlier pixel and num_classes on every
     outlier.
     An ignore-role pixel loads as IGNORE_LABEL whatever its label, so the
-    labels alone say which pixels training and evaluation use."""
+    labels alone say which pixels training and evaluation use, and the
+    scene carries no roles."""
     root = Path(root)
     image = read_ppm(root / row.image).astype(np.float64).transpose(2, 0, 1) / 255.0
     if 0 in image.shape:
@@ -533,4 +534,4 @@ def load_scene(root, row: ManifestRow, num_classes: int) -> SceneSample:
         raise DataFormatError(f"{row.image}: outlier pixels labelled {labels[invalid].min()}, "
                               f"not {num_classes}")
     labels[roles == PixelRole.IGNORE] = IGNORE_LABEL
-    return SceneSample(image=image, labels=labels, roles=roles, distance=distance)
+    return SceneSample(image=image, labels=labels, distance=distance)

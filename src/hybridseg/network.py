@@ -7,8 +7,10 @@ subtracts the channel mean and would cancel it. Pre-logit features feed two
 outputs: a 1x1 projection to K class logits, and a norm-relu-1x1 head whose
 logit z gives the per-pixel probability sigmoid(z) that the pixel is an
 inlier. In training each stage, and the head's norm-relu, is one
-``ad.conv_bn_relu`` node. Final projections start at zero so an untrained
-model predicts uniform class posteriors and a dataset posterior of 0.5.
+``ad.conv_bn_relu`` node, and the graph's large arrays live in the slots of
+one ``ad.Workspace`` named after the ``param_shapes`` prefixes. Final
+projections start at zero so an untrained model predicts uniform class
+posteriors and a dataset posterior of 0.5.
 
 The model is one table: ``param_shapes`` names every persistent array
 (``stage0.w`` ... ``ood.b``) with its shape, in checkpoint order, and
@@ -144,11 +146,19 @@ def _bn(p, prefix: str) -> list:
     return [p[prefix + f] for f in BN_ARRAYS]
 
 
-def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> ForwardMaps:
+def forward(params: ModelParams, image: np.ndarray, training: bool = False, *,
+            workspace: ad.Workspace | None = None) -> ForwardMaps:
     """Run the model; raises NumericFailure if any output is non-finite. Eval
     mode runs ``ad``'s array kernels in the input's float dtype (else float64)
     with no graph, each stage's ``ad.batch_norm_affine`` folded into its conv:
-    weights ``w * scale`` and bias ``shift``."""
+    weights ``w * scale`` and bias ``shift``.
+
+    Training builds the graph on ``workspace`` (a fresh one when None): each
+    op's slots are named after its ``param_shapes`` prefix, and the two
+    heads' grad-x share the slot ``grad``. The OOD head's backward runs
+    first and reads its grad-x into its masked gradient before the class
+    head writes its own. The graph must be walked by ``backward()`` before
+    the next forward on the same workspace."""
     x = np.asarray(image)
     c = params.config.input_channels
     if x.ndim != 4 or x.shape[1] != c:
@@ -156,11 +166,14 @@ def forward(params: ModelParams, image: np.ndarray, training: bool = False) -> F
     stages = [f"stage{i}." for i in range(len(params.config.widths))]
     p = params if training else dict(params.named_arrays())  # tensors, or their values
     if training:
+        ws = ad.Workspace() if workspace is None else workspace
         t = ad.constant(x)
         for s in stages:
-            t = ad.conv_bn_relu(t, p[s + "w"], *_bn(p, s))
-        logits = ad.conv2d(t, p["cls.w"], p["cls.b"])
-        z = ad.conv2d(ad.conv_bn_relu(t, None, *_bn(p, "ood.")), p["ood.w"], p["ood.b"])
+            t = ad.conv_bn_relu(t, p[s + "w"], *_bn(p, s), workspace=ws.scope(s))
+        logits = ad.conv2d(t, p["cls.w"], p["cls.b"], workspace=ws.scope("cls."))
+        ood = ws.scope("ood.")
+        z = ad.conv2d(ad.conv_bn_relu(t, None, *_bn(p, "ood."), workspace=ood),
+                      p["ood.w"], p["ood.b"], workspace=ood)
         outputs = t.value, logits.value, z.value
     else:
         t = x.astype(np.result_type(x, 0.0), copy=False)

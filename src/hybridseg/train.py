@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .autodiff import Workspace
 from .errors import ContractViolation, NumericFailure, TrainingDiverged
 from .losses import LossBreakdown, compound_loss
 from .network import ModelParams, forward
@@ -55,7 +56,13 @@ def train(params: ModelParams, make_batch,
     ``make_batch(rng)`` must yield ``(images, labels)`` arrays for one
     minibatch, labels as `compound_loss` reads them; it is called with a
     fresh deterministic rng per batch.
+
+    Every step builds its graph on one ``Workspace``, so after the first
+    step no step asks the allocator for a large array. Each graph is walked
+    by ``backward()`` before the next step's forward, as the workspace
+    requires.
     """
+    workspace = Workspace()
     opt = Adam([tensor for _, tensor in params.trainable()], cfg.schedule)
     opt.step_count = cfg.start_step
     history: list[LossBreakdown] = []
@@ -67,7 +74,7 @@ def train(params: ModelParams, make_batch,
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, index]))
                 images, labels = make_batch(rng)
-                maps = forward(params, images, training=True)
+                maps = forward(params, images, training=True, workspace=workspace)
                 total, breakdown = compound_loss(
                     maps.logits, maps.dataset_logit, labels, cfg.beta)
                 if not np.isfinite(breakdown.total):

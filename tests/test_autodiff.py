@@ -265,11 +265,12 @@ class TestConv2d:
         # with NaN after each channel, a window that reads past its channel's
         # slack shows up as a non-finite column entry
         h, wd = 2 * ad.BLOCK_ROWS + 1, 6
-        flat = ad._flat_pad(np.random.default_rng(70 + k).normal(size=(2, 3, h, wd)), k // 2)
+        ws = ad.Workspace()
+        flat = ws.padded("pad", np.random.default_rng(70 + k).normal(size=(2, 3, h, wd)), k // 2)
         fenced = np.full(flat.shape[:2] + (flat.shape[2] + 64,), np.nan)
         fenced[..., :flat.shape[2]] = flat
         # each block reuses one buffer, so check it before asking for the next
-        blocks = ad._column_blocks(fenced[..., :flat.shape[2]], k, h, wd + k - 1)
+        blocks = ad._column_blocks(fenced[..., :flat.shape[2]], k, h, wd + k - 1, ws, "scratch")
         assert all(np.isfinite(cols).all() for _, _, cols in blocks)
 
     @pytest.mark.parametrize("k", [1, 3])

@@ -1,7 +1,11 @@
 import math
+import os
 import resource
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,23 @@ class TestTrain:
         assert len(log) == 3  # header + 2 epochs
         _, step = load_checkpoint(run / "checkpoint.dhck")
         assert step == 4  # 2 epochs x 2 batches
+
+    def test_fresh_processes_at_one_blas_thread_write_the_same_bytes(self, workspace,
+                                                                      tmp_path):
+        # README's "same seed, same bytes" for training holds at a fixed
+        # numpy/BLAS build and BLAS thread count: the grad-w GEMM sums in a
+        # different order at another thread count. Each process also starts
+        # its workspace cold.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        runs = [tmp_path / name for name in ("a", "b")]
+        for run in runs:
+            args = TRAIN_ARGS + ["--data", workspace["manifest"], "--out", run, "--seed", 3]
+            subprocess.run([sys.executable, "-c", "from hybridseg.cli import main; main()",
+                            *map(str, args)], env=env, check=True, capture_output=True)
+        for name in ("checkpoint.dhck", "train_log.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     def test_checkpoints_are_bit_reproducible(self, workspace, tmp_path):
         # the float32 training graph included: same seed, same bytes

@@ -37,7 +37,7 @@ from hybridseg.data import (
 )
 from hybridseg.errors import ContractViolation, DataFormatError
 from hybridseg.labels import IGNORE_LABEL, PixelRole
-from hybridseg.rasters import read_manifest
+from hybridseg.rasters import read_manifest, read_pgm
 
 
 def assert_samples_equal(a, b):
@@ -355,7 +355,9 @@ class TestSceneStorage:
             original = splits[row.split][int(row.image.split("_")[-1].split(".")[0])]
             loaded = load_scene(tmp_path, row, 3)
             np.testing.assert_array_equal(loaded.labels, original.labels)
-            np.testing.assert_array_equal(loaded.roles, original.roles)
+            # the roles stay on disk: loading folds them into the labels
+            assert loaded.roles is None
+            np.testing.assert_array_equal(read_pgm(tmp_path / row.mask), original.roles)
             assert np.abs(loaded.image - original.image).max() <= 0.5 / 255 + 1e-12
             if original.distance is None:
                 assert loaded.distance is None
@@ -441,7 +443,7 @@ class TestSceneStorage:
         row = self._scene_with_pixel(tmp_path, label, PixelRole.IGNORE)
         loaded = load_scene(tmp_path, row, 3)
         assert loaded.labels[5, 5] == IGNORE_LABEL
-        assert loaded.roles[5, 5] == PixelRole.IGNORE
+        assert loaded.roles is None  # the role raster is folded into the labels
         assert (loaded.labels != IGNORE_LABEL).sum() == loaded.labels.size - 1
 
     def test_load_rejects_an_inlier_role_with_the_outlier_label(self, tmp_path):

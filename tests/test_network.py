@@ -8,6 +8,8 @@ import pytest
 from helpers import write_v1_checkpoint
 from hybridseg import autodiff as ad
 from hybridseg.autodiff import BN_EPS
+from hybridseg.cli import toy_grid_batch
+from hybridseg.data import gen_toy2d
 from hybridseg.errors import ContractViolation, DataFormatError, NumericFailure
 from hybridseg.inference import SCORE_VARIANTS, score_image
 from hybridseg.losses import compound_loss
@@ -23,6 +25,7 @@ from hybridseg.network import (
     param_shapes,
     save_checkpoint,
 )
+from hybridseg.optim import Adam, LrSchedule
 from hybridseg.scoring import log_sum_exp
 
 CFG = NetworkConfig(input_channels=3, widths=(8, 12), num_classes=4, seed=11)
@@ -113,9 +116,126 @@ class TestForward:
         assert not np.allclose(params["stage0.run_mean"], 0.0)
 
 
+# the scene-train shapes: a batch of 4 float32 64x64 crops, widths 16,32,32
+AC06 = NetworkConfig(input_channels=3, widths=(16, 32, 32), num_classes=3, seed=3)
+
+
+def scene_batches(count, seed=0, n=4, size=64):
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0, 1, size=(n, 3, size, size)).astype(np.float32),
+             rng.choice(np.array([0, 1, 2, 3, 255], dtype=np.uint8), size=(n, size, size)))
+            for _ in range(count)]
+
+
+def reference_forward(params, image):
+    """``forward(training=True)``'s graph with each op on its own fresh
+    workspace, so no two ops share a slot."""
+    p, t = params, ad.constant(image)
+    for i in range(len(params.config.widths)):
+        t = ad.conv_bn_relu(t, p[f"stage{i}.w"], *[p[f"stage{i}.{f}"] for f in BN_ARRAYS])
+    logits = ad.conv2d(t, p["cls.w"], p["cls.b"])
+    z = ad.conv2d(ad.conv_bn_relu(t, None, *[p[f"ood.{f}"] for f in BN_ARRAYS]),
+                  p["ood.w"], p["ood.b"])
+    return ForwardMaps(logits=logits, dataset_logit=z)
+
+
+def train_steps(config, batches, run_forward):
+    """One Adam step per batch from ``init_params(config)``, each graph built
+    by ``run_forward(params, images)``: the bytes of every gradient after
+    each step, then of every persistent array."""
+    params = init_params(config)
+    opt = Adam([t for _, t in params.trainable()], LrSchedule(kind="constant", lr_start=0.01))
+    record = []
+    for images, labels in batches:
+        maps = run_forward(params, images)
+        total, _ = compound_loss(maps.logits, maps.dataset_logit, labels, 0.1)
+        opt.zero_grad()
+        total.backward()
+        record.append([t.grad.tobytes() for _, t in params.trainable()])
+        opt.step()
+    return record + [[a.tobytes() for _, a in params.named_arrays()]]
+
+
+class TestWorkspace:
+    """A train step's bytes do not depend on where its arrays live: one
+    workspace for every step (cold slots, then warm ones whose contents are
+    the last step's), a fresh one per step, and no slot shared between ops
+    all give the same gradients and parameters. A slot that kept a stale
+    value, such as a padded border that another array overwrote, fails."""
+
+    @staticmethod
+    def check(config, batches):
+        one = ad.Workspace()
+        runs = [train_steps(config, batches, lambda p, x: forward(p, x, training=True,
+                                                                  workspace=one)),
+                train_steps(config, batches, lambda p, x: forward(p, x, training=True)),
+                train_steps(config, batches, reference_forward)]
+        assert runs[0] == runs[1] == runs[2]
+        return one
+
+    def test_scene_steps_are_byte_equal(self):
+        one = self.check(AC06, scene_batches(3, seed=4))
+        assert one.nbytes > 0
+
+    def test_equal_widths_reuse_a_padded_slot_dirtied_in_between(self):
+        # every stage's padded gradient has one shape, and the heads' grad-x
+        # overwrites that slot's border between steps
+        config = NetworkConfig(input_channels=3, widths=(8, 8, 8), num_classes=3, seed=5)
+        self.check(config, scene_batches(3, seed=8, n=2, size=24))
+
+    def test_toy_steps_are_byte_equal(self):
+        # run_toy_seed's float64 point grid, where every conv is 1x1
+        config = NetworkConfig(input_channels=2, widths=(16, 16), num_classes=2,
+                               kernel_size=1, seed=2)
+        batches = [toy_grid_batch(toy.points, toy.class_labels, toy.roles)
+                   for toy in (gen_toy2d(seed, 100)[0] for seed in (1, 2, 3))]
+        assert batches[0][0].dtype == np.float64
+        self.check(config, batches)
+
+    def test_one_step_of_two_widths_on_one_workspace(self):
+        # the slots grow when a larger graph follows a smaller one
+        one = ad.Workspace()
+        small, large = (NetworkConfig(input_channels=3, widths=w, num_classes=3, seed=1)
+                        for w in ((4, 8), (8, 16)))
+        batches = scene_batches(1, seed=6, n=2, size=20)
+        train_steps(small, batches, lambda p, x: forward(p, x, training=True, workspace=one))
+        got = train_steps(large, batches,
+                          lambda p, x: forward(p, x, training=True, workspace=one))
+        assert got == train_steps(large, batches, reference_forward)
+
+
 class TestTrainingMemory:
+    def test_a_warm_step_asks_for_no_large_array(self):
+        # tracemalloc sees numpy's buffers. After one step the workspace holds
+        # every large array of the step; before it, a step's peak rose 22.5 MiB
+        # above its start.
+        one = ad.Workspace()
+        params = init_params(AC06)
+        opt = Adam([t for _, t in params.trainable()], LrSchedule(kind="constant", lr_start=0.01))
+
+        def step(images, labels):
+            maps = forward(params, images, training=True, workspace=one)
+            total, _ = compound_loss(maps.logits, maps.dataset_logit, labels, 0.03)
+            opt.zero_grad()
+            total.backward()
+            opt.step()
+
+        warm_up, batch = scene_batches(2, seed=7)
+        step(*warm_up)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step(*batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+        # no more than the fresh arrays of the step before the workspace
+        assert one.nbytes + peak <= 22.4 * 2 ** 20
+
     def test_graph_holds_only_what_backward_reads(self):
-        # float32 bytes a training graph needs for backward: per 3x3 stage
+        # with no workspace passed, forward takes a fresh one: float32 bytes
+        # a training graph needs for backward: per 3x3 stage
         # its padded input (h + 3 rows of w + 2), xhat, its output (whose
         # positives are the relu mask) and its weights; xhat and the output
         # of the OOD head's norm-relu; the two head outputs; and the loss's
